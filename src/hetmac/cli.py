@@ -29,10 +29,12 @@ from .errors import (
     VerificationError,
 )
 from .fblrate import (
+    evaluate_scheme,
     gaussian_sic_region,
     gaussian_tin_rates,
     rate_region_sweep,
 )
+from .infodensity import MIN_SAMPLES
 from .pipeline import BitAllocation, enumerate_allocations, select_code_params
 from .signaling import build_scheme, superimpose, write_constellation_csv
 
@@ -81,6 +83,16 @@ def _parse_gain(raw):
     raise ConfigError("gain must be a number or a [re, im] pair")
 
 
+def _checked_samples(raw, where: str) -> int:
+    try:
+        samples = int(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be an integer, got {raw!r}") from None
+    if samples < MIN_SAMPLES:
+        raise ConfigError(f"{where} must be at least {MIN_SAMPLES}, got {samples}")
+    return samples
+
+
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         raw = yaml.safe_load(fh)
@@ -110,7 +122,7 @@ def load_scenario(path: str) -> Scenario:
     est = raw.get("estimator", {})
     if est:
         _reject_unknown(est, _ESTIMATOR_KEYS, "estimator")
-        scenario.samples = int(est.get("samples", scenario.samples))
+        scenario.samples = _checked_samples(est.get("samples", scenario.samples), "estimator.samples")
         scenario.seed = int(est.get("seed", scenario.seed))
     flags = raw.get("flags", {})
     if flags:
@@ -317,8 +329,6 @@ def cmd_codeparams(
     if scheme_type is not None:
         alloc = BitAllocation(m=alloc.m, scheme_type=scheme_type)
     scheme_type = alloc.scheme_type
-    from .fblrate import evaluate_scheme  # local import keeps CLI import light
-
     sig = build_scheme(cfg, alloc)
     reports = evaluate_scheme(cfg, sig, scenario.samples, scenario.seed, workers)
     params = select_code_params(cfg, alloc, [r.rate for r in reports])
@@ -385,8 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
+    if getattr(args, "workers", 1) < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     if getattr(args, "samples", None) is not None:
-        scenario.samples = args.samples
+        scenario.samples = _checked_samples(args.samples, "--samples")
     if getattr(args, "seed", None) is not None:
         scenario.seed = args.seed
     if getattr(args, "even_only", None):

@@ -12,9 +12,28 @@ variances and third absolute central moments are estimated by plain
 Monte Carlo with an exhaustive inner sum, evaluated with max-shifted
 (log-sum-exp) stabilization.
 
-Sampling is organized in fixed-size chunks, each driven by its own
-counter-based Philox stream keyed on (seed, chunk index), so results are
-bit-identical no matter how chunks are scheduled across workers.
+The inner sums are evaluated one rail at a time, exactly.  Channel gains
+are real magnitudes (ChannelConfig rotates complex gains away), and
+every alphabet is a real-scaled Minkowski sum of square QAMs, each the
+product of one PAM axis with itself.  So, as multisets, h_k A_k = R x R
+and the interferer superposition is V x V for 1-D PAM sums R and V, and
+
+    exp(-|y - a - w|^2) = exp(-(y_re - a_re - w_re)^2) * exp(-(y_im - a_im - w_im)^2)
+
+turns both double sums into products of rail sums, with |A_k| = |R|^2:
+
+    i(x; y) = i_1(x_re; y_re) + i_1(x_im; y_im),
+
+i_1 being the same density on R and V.  A sample costs 2 |R| |V| kernel
+cells instead of |A_k| |W| = |R|^2 |V|^2.
+
+Sampling is organized in fixed-size chunks (_CHUNK samples), each
+driven by its own counter-based Philox stream keyed on (seed, chunk
+index), so results are bit-identical no matter how chunks are scheduled
+across workers.  A chunk draws the sent point and the interferer point
+as flat indices into the 2-D Minkowski-ordered alphabets and reads their
+coordinates off the rails, so each received sample is bit for bit the
+2-D sum.
 """
 
 from __future__ import annotations
@@ -27,13 +46,20 @@ import numpy as np
 
 from .config import ChannelConfig
 from .errors import ConstellationTooLargeError
-from .signaling import DEFAULT_POINT_CAP, SchemeSignaling
+from .signaling import (
+    DEFAULT_POINT_CAP,
+    SchemeSignaling,
+    iq_indices,
+    minkowski_sum,
+)
 
 LOG2_E = math.log2(math.e)
 #: Gap constant of the constellation-constrained MI bound: log2(5*pi*e/6).
 MI_GAP_BITS = math.log2(5.0 * math.pi * math.e / 6.0)
 
 _CHUNK = 4096
+#: Fewest Monte Carlo samples estimate_stats accepts.
+MIN_SAMPLES = 10_000
 
 
 @dataclass(frozen=True)
@@ -53,43 +79,56 @@ class DensityStats:
 
 def _receive_tables(
     cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int, point_cap: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Received own alphabet h_k*A_k and interferer sum multiset w."""
-    own = sig.transmit_points(k, l) * cfg.h[k]
-    interferers = np.zeros(1, dtype=np.complex128)
-    total = own.size
-    for i in range(l, cfg.users):
-        if i == k:
-            continue
-        pts = sig.transmit_points(i, l) * cfg.h[i]
-        total *= pts.size
+) -> tuple:
+    """(own, w, own_parts, w_parts): one rail of user k's received alphabet
+    and of its interferer multiset in sub-block l.
+
+    own is h_k times the user's transmit axis and w the Minkowski sum of the
+    interferers' h-scaled transmit axes, both with multiplicity and in
+    Minkowski order; the 2-D alphabets are own x own and w x w, and the
+    part tuples locate a 2-D flat index on the rails (iq_indices).  The
+    cap bounds the 2-D count |A| * |W|.
+    """
+    own = sig.transmit_axis(k, l) * cfg.h[k]
+    interferers = [i for i in range(l, cfg.users) if i != k]
+    rails = []
+    total = own.size**2
+    for i in interferers:
+        rails.append(sig.transmit_axis(i, l) * cfg.h[i])
+        total *= rails[-1].size ** 2
         if total > point_cap:
             raise ConstellationTooLargeError(
                 f"density sum would cover {total} points, cap is {point_cap}"
             )
-        interferers = (interferers[:, None] + pts[None, :]).ravel()
-    return own, interferers
+    w_parts = tuple(part for i in interferers for part in sig.parts[(i, l)])
+    return own, minkowski_sum(rails, np.float64), sig.parts[(k, l)], w_parts
 
 
-_EVAL_BUDGET = 1 << 22  # max temporary size (samples x alphabet x interferers)
+_EVAL_BUDGET = 1 << 22  # max temporary size (rail samples x rail alphabet x rail interferers)
 
 
-def _density_given_y(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Vectorized density in bits for received samples y with sent index x_idx."""
-    grid = own[:, None] + w[None, :]  # received points, multiplicity kept
+def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Density in bits of one rail: real samples y, sent rail indices x_idx."""
+    grid = own[:, None] + w[None, :]  # received rail points, multiplicity kept
     out = np.empty(y.size)
-    step = max(1, _EVAL_BUDGET // max(1, grid.size))
+    step = max(1, _EVAL_BUDGET // grid.size)
     for s in range(0, y.size, step):
         rows = slice(s, min(s + step, y.size))
-        # d2[j, a, b] = |y_j - own_a - w_b|^2, max-shifted before exponentiating
-        diff = y[rows, None, None] - grid[None, :, :]
-        d2 = diff.real**2 + diff.imag**2
-        peak = d2.min(axis=(1, 2), keepdims=True)
-        ex = np.exp(-(d2 - peak))
+        # ex[j, a, b] = exp(-(y_j - own_a - w_b)^2), max-shifted before exponentiating
+        ex = y[rows, None, None] - grid[None, :, :]
+        ex *= ex
+        ex -= ex.min(axis=(1, 2), keepdims=True)
+        np.exp(np.negative(ex, out=ex), out=ex)
         num = ex[np.arange(ex.shape[0]), x_idx[rows], :].sum(axis=1)
         den = ex.sum(axis=(1, 2)) / own.size
         out[rows] = np.log2(num / den)
     return out
+
+
+def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Density in bits, i_re + i_im, of rails y[(re, im), j] with sent rail indices x."""
+    rails = _density_1d(y.ravel(), x.ravel(), own, w).reshape(y.shape)
+    return rails[0] + rails[1]
 
 
 def information_density(
@@ -106,28 +145,38 @@ def information_density(
     x_k is a point of user k's sub-block alphabet (transmit side, before
     the channel gain).
     """
-    own, w = _receive_tables(cfg, sig, k, l, point_cap)
+    own, w, _, _ = _receive_tables(cfg, sig, k, l, point_cap)
     sent = complex(x_k) * cfg.h[k]
-    idx = int(np.argmin(np.abs(own - sent)))
-    if abs(own[idx] - sent) > 1e-9 * max(1.0, float(np.abs(own).max())):
+    x = np.array([[np.argmin(np.abs(own - sent.real))], [np.argmin(np.abs(own - sent.imag))]])
+    if abs(complex(*own[x[:, 0]]) - sent) > 1e-9 * max(1.0, float(np.abs(own).max())):
         raise ValueError("x_k is not a point of the user's sub-block alphabet")
-    val = _density_given_y(np.array([y], dtype=np.complex128), np.array([idx]), own, w)
-    return float(val[0])
+    y = complex(y)
+    return float(_density(np.array([[y.real], [y.imag]]), x, own, w)[0])
 
 
-def _chunk_samples(
-    seed: int, chunk: int, count: int, own: np.ndarray, w: np.ndarray
-) -> np.ndarray:
+def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Received rails y[(re, im), j] and sent rail indices x[(re, im), j] of one chunk.
+
+    u_x and u_w pick flat indices into the Minkowski-ordered 2-D alphabets;
+    y[0] + 1j * y[1] is bit for bit the 2-D sum of sent point, interferer
+    point and noise.
+    """
+    own, w, own_parts, w_parts = tables
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
     u_x = rng.random(count)
     u_w = rng.random(count)
-    noise = rng.standard_normal(count) * math.sqrt(0.5) + 1j * (
-        rng.standard_normal(count) * math.sqrt(0.5)
-    )
-    x_idx = np.minimum((u_x * own.size).astype(np.int64), own.size - 1)
-    w_idx = np.minimum((u_w * w.size).astype(np.int64), w.size - 1)
-    y = own[x_idx] + w[w_idx] + noise
-    return _density_given_y(y, x_idx, own, w)
+    noise = np.stack([rng.standard_normal(count), rng.standard_normal(count)]) * math.sqrt(0.5)
+    own_size, w_size = own.size**2, w.size**2
+    x_idx = np.minimum((u_x * own_size).astype(np.int64), own_size - 1)
+    w_idx = np.minimum((u_w * w_size).astype(np.int64), w_size - 1)
+    x = np.stack(iq_indices(x_idx, own_parts))
+    y = own[x] + w[np.stack(iq_indices(w_idx, w_parts))] + noise
+    return y, x
+
+
+def _chunk_samples(seed: int, chunk: int, count: int, tables: tuple) -> np.ndarray:
+    y, x = _chunk_draw(seed, chunk, count, tables)
+    return _density(y, x, tables[0], tables[1])
 
 
 def estimate_stats(
@@ -146,15 +195,15 @@ def estimate_stats(
     noise has unit variance per complex sample, the SNR being carried
     entirely by the scaled constellations and channel gains.
     """
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples for stable moments")
-    own, w = _receive_tables(cfg, sig, k, l, point_cap)
+    if samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples for stable moments")
+    tables = _receive_tables(cfg, sig, k, l, point_cap)
     chunks = [(c, min(_CHUNK, samples - c * _CHUNK)) for c in range((samples + _CHUNK - 1) // _CHUNK)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda cc: _chunk_samples(seed, cc[0], cc[1], own, w), chunks))
+            parts = list(pool.map(lambda cc: _chunk_samples(seed, cc[0], cc[1], tables), chunks))
     else:
-        parts = [_chunk_samples(seed, c, n, own, w) for c, n in chunks]
+        parts = [_chunk_samples(seed, c, n, tables) for c, n in chunks]
     dens = np.concatenate(parts)
     mi = float(dens.mean())
     centered = dens - mi

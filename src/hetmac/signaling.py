@@ -11,6 +11,7 @@ transmit power at its budget.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,34 @@ def silent_constellation() -> Constellation:
     return Constellation(np.zeros(1, dtype=np.complex128), 1, 0.0, 0.0)
 
 
+def pam_axis(order_bits: int, dmin: float) -> np.ndarray:
+    """Zero-mean PAM of spacing dmin with 2**(order_bits // 2) levels, ascending.
+
+    This is the real (and the imaginary) axis of the square QAM with
+    2**order_bits points; order 0 gives the single level 0.
+    """
+    side = 1 << (order_bits // 2)
+    return (2.0 * np.arange(side) - (side - 1)) * (dmin / 2.0)
+
+
+def iq_grid(axis: np.ndarray) -> np.ndarray:
+    """Square QAM with the given axis on both rails.
+
+    Flat index i * len(axis) + j holds axis[j] + 1j * axis[i]; iq_indices
+    inverts this layout.
+    """
+    re, im = np.meshgrid(axis, axis)
+    return (re + 1j * im).ravel()
+
+
+def minkowski_sum(sets: Iterable[np.ndarray], dtype=np.complex128) -> np.ndarray:
+    """Multiset sum of point sets with multiplicity, first set slowest-varying."""
+    acc = np.zeros(1, dtype=dtype)
+    for pts in sets:
+        acc = (acc[:, None] + pts[None, :]).ravel()
+    return acc
+
+
 def regular_qam(order_bits: int, dmin: float) -> Constellation:
     """Square QAM with 2**order_bits points, zero mean, exact minimum distance.
 
@@ -67,13 +96,9 @@ def regular_qam(order_bits: int, dmin: float) -> Constellation:
         raise UnsupportedOrderError(f"order_bits must be even and >= 2, got {order_bits}")
     if dmin <= 0:
         raise ValueError("dmin must be positive")
-    side = 1 << (order_bits // 2)
-    axis = (2.0 * np.arange(side) - (side - 1)) * (dmin / 2.0)
-    re, im = np.meshgrid(axis, axis)
-    points = (re + 1j * im).ravel()
-    cardinality = side * side
+    cardinality = 1 << order_bits
     energy = dmin * dmin * (cardinality - 1) / 6.0
-    return Constellation(points, cardinality, float(dmin), energy)
+    return Constellation(iq_grid(pam_axis(order_bits, dmin)), cardinality, float(dmin), energy)
 
 
 def min_distance(c: Constellation | np.ndarray) -> float:
@@ -101,10 +126,12 @@ class ScaledPart:
     order_bits: int
     scale: float  # transmit amplitude applied to QAM(2**order_bits, 1)
 
+    def axis(self) -> np.ndarray:
+        """Real (and imaginary) rail of the scaled part: a PAM."""
+        return pam_axis(self.order_bits, 1.0) * self.scale
+
     def points(self) -> np.ndarray:
-        if self.order_bits == 0:
-            return np.zeros(1, dtype=np.complex128)
-        return regular_qam(self.order_bits, 1.0).points * self.scale
+        return iq_grid(self.axis())
 
     @property
     def energy(self) -> float:
@@ -131,10 +158,34 @@ class SchemeSignaling:
 
     def transmit_points(self, k: int, l: int) -> np.ndarray:
         """Symbol alphabet with multiplicity: Minkowski sum over the parts."""
-        pts = np.zeros(1, dtype=np.complex128)
-        for part in self.parts[(k, l)]:
-            pts = (pts[:, None] + part.points()[None, :]).ravel()
-        return pts
+        return minkowski_sum(part.points() for part in self.parts[(k, l)])
+
+    def transmit_axis(self, k: int, l: int) -> np.ndarray:
+        """One rail of transmit_points: the Minkowski sum of the part axes.
+
+        transmit_points is this axis times itself on the I and Q rails, as
+        a multiset; iq_indices maps its flat indices to this axis.
+        """
+        return minkowski_sum((part.axis() for part in self.parts[(k, l)]), np.float64)
+
+
+def iq_indices(flat: np.ndarray, parts: Sequence[ScaledPart]) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) rail indices of flat indices into a Minkowski sum of parts.
+
+    flat indexes minkowski_sum(p.points() for p in parts); the returned
+    indices address minkowski_sum(p.axis() for p in parts), which holds
+    the real parts and the imaginary parts of those points alike.
+    """
+    re = np.zeros_like(flat)
+    im = np.zeros_like(flat)
+    stride = 1
+    for part in reversed(parts):
+        side = 1 << (part.order_bits // 2)
+        flat, cell = np.divmod(flat, side * side)
+        im += (cell // side) * stride
+        re += (cell % side) * stride
+        stride *= side
+    return re, im
 
 
 def _part_layout(
@@ -216,10 +267,9 @@ def build_scheme(cfg: ChannelConfig, alloc) -> SchemeSignaling:
                 constellations[(k, l)] = silent_constellation()
                 zeta[(k, l)] = 1.0 if active[k] else 0.0
                 continue
-            pts = np.zeros(1, dtype=np.complex128)
-            for part in built:
-                pts = (pts[:, None] + part.points()[None, :]).ravel()
-            constellations[(k, l)] = Constellation.from_points(pts)
+            constellations[(k, l)] = Constellation.from_points(
+                minkowski_sum(part.points() for part in built)
+            )
             peak = max(energies[(i, l)] for i in range(l, K))
             zeta[(k, l)] = energies[(k, l)] / peak
 
@@ -269,10 +319,9 @@ def superimpose(
             raise ConstellationTooLargeError(
                 f"superimposed cardinality exceeds cap {point_cap}"
             )
-    pts = np.zeros(1, dtype=np.complex128)
-    for k in range(component, cfg.users):
-        user = sig.transmit_points(k, component) * cfg.h[k]
-        pts = (pts[:, None] + user[None, :]).ravel()
+    pts = minkowski_sum(
+        sig.transmit_points(k, component) * cfg.h[k] for k in range(component, cfg.users)
+    )
     return Constellation.from_points(pts)
 
 
@@ -304,13 +353,12 @@ def verify_lemma2(orders: list[int], delta: float, budget_bits: int = 16) -> Lad
     total = sum(orders)
     if total > budget_bits:
         raise ConstellationTooLargeError(f"sum of orders {total} exceeds budget {budget_bits}")
-    pts = np.zeros(1, dtype=np.complex128)
+    layers = []
     cum = 0
     for order in orders:
-        layer = regular_qam(order, delta).points * 2.0 ** (cum / 2.0)
-        pts = (pts[:, None] + layer[None, :]).ravel()
+        layers.append(regular_qam(order, delta).points * 2.0 ** (cum / 2.0))
         cum += order
-    built = Constellation.from_points(pts)
+    built = Constellation.from_points(minkowski_sum(layers))
     reference = regular_qam(total, delta)
     tol = delta * 1e-9
     cardinality_ok = built.cardinality == (1 << total)

@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they validate: the mutual
 information oracle integrates with Gauss-Hermite quadrature instead of
-Monte Carlo, the rank oracle enumerates row subsets, and the lattice
-oracle enumerates allocation tables by brute force.
+Monte Carlo, the density oracle sums over the 2-D alphabets instead of
+the library's separable I/Q rails, the rank oracle enumerates row
+subsets, and the lattice oracle enumerates allocation tables by brute
+force.
 """
 
 from __future__ import annotations
@@ -72,6 +74,53 @@ def tin_mi_quadrature(own: np.ndarray, interferers: np.ndarray, nodes: int = 48)
             den = ex.sum(axis=(1, 2)) / own.size
             total += float((np.log2(num / den) * wz).sum())
     return total / grid.size
+
+
+def receive_alphabets_2d(cfg, sig, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Received 2-D own alphabet h_k*A_k and interferer sum multiset, Minkowski order.
+
+    Built point by point from the transmit alphabets, without the I/Q
+    rails the library's density kernel works on.
+    """
+    own = sig.transmit_points(k, l) * cfg.h[k]
+    w = np.zeros(1, dtype=np.complex128)
+    for i in range(l, cfg.users):
+        if i != k:
+            w = (w[:, None] + (sig.transmit_points(i, l) * cfg.h[i])[None, :]).ravel()
+    return own, w
+
+
+def density_bruteforce_2d(
+    y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """TIN density in bits by the exhaustive sum over every 2-D (own, interferer) pair.
+
+    y holds complex received samples and x_idx the sent indices into own.
+    """
+    grid = own[:, None] + w[None, :]
+    diff = y[:, None, None] - grid[None, :, :]
+    d2 = diff.real**2 + diff.imag**2
+    ex = np.exp(-(d2 - d2.min(axis=(1, 2), keepdims=True)))
+    num = ex[np.arange(y.size), x_idx, :].sum(axis=1)
+    den = ex.sum(axis=(1, 2)) / own.size
+    return np.log2(num / den)
+
+
+def philox_draw_2d(seed: int, chunk: int, count: int, own: np.ndarray, w: np.ndarray):
+    """(y, sent index) of one Monte Carlo chunk drawn on the 2-D alphabets.
+
+    The stream is Philox keyed on (seed, chunk): uniforms pick the sent
+    point and the interferer point, then unit-variance complex noise.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+    u_x = rng.random(count)
+    u_w = rng.random(count)
+    noise = rng.standard_normal(count) * math.sqrt(0.5) + 1j * (
+        rng.standard_normal(count) * math.sqrt(0.5)
+    )
+    x_idx = np.minimum((u_x * own.size).astype(np.int64), own.size - 1)
+    w_idx = np.minimum((u_w * w.size).astype(np.int64), w.size - 1)
+    return own[x_idx] + w[w_idx] + noise, x_idx
 
 
 def rank_by_subsets(rows: list[list[int]]) -> int:

@@ -16,6 +16,8 @@ from hetmac.errors import ConfigError
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 UPLINK = str(SCENARIOS / "two_user_uplink.yaml")
 WIDEBAND = str(SCENARIOS / "two_user_wideband.yaml")
+# `region` on UPLINK at --samples 10000 --seed 20240901, recorded with the 2-D density kernel
+GOLDEN_UPLINK = Path(__file__).resolve().parent / "data" / "two_user_uplink_s10000_seed20240901.csv"
 
 
 def write_scenario(tmp_path, payload, name="scenario.yaml"):
@@ -88,6 +90,40 @@ class TestScenarioLoading:
         payload["flags"] = {"scheme_types": "seven"}
         path = write_scenario(tmp_path, payload)
         assert main(["det-verify", "--scenario", path]) == EXIT_CONFIG
+
+
+class TestArgumentChecks:
+    @staticmethod
+    def argv(command, tmp_path, *extra):
+        target = ["--out", str(tmp_path / "r.csv")] if command == "region" else ["--alloc", "E"]
+        return [command, "--scenario", UPLINK, *target, *extra]
+
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["region", "codeparams"])
+    def test_nonpositive_workers_rejected(self, tmp_path, capsys, command, workers):
+        assert main(self.argv(command, tmp_path, "--workers", workers)) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --workers must be at least 1")
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("command", ["region", "codeparams"])
+    def test_small_sample_override_rejected(self, tmp_path, capsys, command):
+        assert main(self.argv(command, tmp_path, "--samples", "9999")) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --samples must be at least 10000")
+
+    def test_small_yaml_samples_rejected(self, tmp_path, capsys):
+        payload = base_payload()
+        payload["estimator"]["samples"] = 500
+        path = write_scenario(tmp_path, payload)
+        with pytest.raises(ConfigError, match="estimator.samples"):
+            load_scenario(path)
+        assert main(["region", "--scenario", path, "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: estimator.samples")
+
+    def test_non_integer_yaml_samples_rejected(self, tmp_path):
+        payload = base_payload()
+        payload["estimator"]["samples"] = "lots"
+        with pytest.raises(ConfigError, match="integer"):
+            load_scenario(write_scenario(tmp_path, payload))
 
 
 class TestDetVerify:
@@ -173,6 +209,18 @@ class TestRegion:
             assert code == EXIT_OK
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_csv_bytes(self, tmp_path, workers):
+        out = tmp_path / "region.csv"
+        code = main(
+            [
+                "region", "--scenario", UPLINK, "--out", str(out),
+                "--samples", "10000", "--seed", "20240901", "--workers", workers,
+            ]
+        )
+        assert code == EXIT_OK
+        assert out.read_bytes() == GOLDEN_UPLINK.read_bytes()
 
     def test_enumerated_allocations_when_none_fixed(self, tmp_path):
         payload = base_payload()

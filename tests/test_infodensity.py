@@ -2,21 +2,37 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hetmac.config import ChannelConfig, UserSpec
+from hetmac.errors import UnsupportedOrderError
 from hetmac.infodensity import (
     MI_GAP_BITS,
     estimate_stats,
     gaussian_tin_mi,
     information_density,
     mi_lower_bound,
-    _density_given_y,
+    _chunk_draw,
+    _density,
     _receive_tables,
 )
-from hetmac.pipeline import BitAllocation
-from hetmac.signaling import Constellation, ScaledPart, SchemeSignaling, build_scheme
+from hetmac.pipeline import BitAllocation, enumerate_allocations
+from hetmac.signaling import (
+    Constellation,
+    ScaledPart,
+    SchemeSignaling,
+    build_scheme,
+    iq_indices,
+)
 
-from oracles import density_moments_quadrature, tin_mi_quadrature
+from oracles import (
+    density_bruteforce_2d,
+    density_moments_quadrature,
+    philox_draw_2d,
+    receive_alphabets_2d,
+    tin_mi_quadrature,
+)
 
 
 def single_user_cfg(snr_db: float, n: int = 128) -> ChannelConfig:
@@ -78,12 +94,12 @@ class TestInformationDensity:
             [UserSpec(24.0, 100, 1e-5), UserSpec(18.0, 150, 1e-5), UserSpec(12.0, 200, 1e-5)]
         )
         sig = build_scheme(cfg, BitAllocation(m=((2,), (2, 2), (2, 2, 2))))
-        own, w = _receive_tables(cfg, sig, 0, 0, 1 << 20)
+        own, w, _, _ = _receive_tables(cfg, sig, 0, 0, 1 << 20)
         rng = np.random.default_rng(4)
-        y = (rng.standard_normal(64) + 1j * rng.standard_normal(64)) * 3.0
-        xi = rng.integers(0, own.size, 64)
-        direct = _density_given_y(y, xi, own, w)
-        reordered = _density_given_y(y, xi, own, w[::-1].copy())
+        y = rng.standard_normal((2, 64)) * 3.0  # (re, im) rails
+        xi = rng.integers(0, own.size, (2, 64))
+        direct = _density(y, xi, own, w)
+        reordered = _density(y, xi, own, w[::-1].copy())
         assert np.allclose(direct, reordered, atol=1e-9)
 
     def test_density_mean_matches_estimator(self):
@@ -98,6 +114,81 @@ class TestInformationDensity:
             vals.append(information_density(complex(x + z), cfg, sig, 0, 0, x))
         se = np.std(vals, ddof=1) / math.sqrt(len(vals))
         assert abs(np.mean(vals) - stats.mi) < 3 * (se + stats.std_error)
+
+
+@st.composite
+def density_cases(draw):
+    """A loaded (user, sub-block) of a random even allocation of 1-3 users."""
+    snrs = draw(st.lists(st.sampled_from([3.5, 6.0, 9.0, 12.0, 18.0, 24.0, 30.0]),
+                         min_size=1, max_size=3, unique=True))
+    snrs.sort(reverse=True)  # blocklengths grow as SNR falls
+    # complex gains of any phase and magnitude; the power makes up the SNR
+    gains = draw(st.lists(st.complex_numbers(min_magnitude=0.3, max_magnitude=3.0),
+                          min_size=len(snrs), max_size=len(snrs)))
+    cfg = ChannelConfig.from_users([
+        UserSpec(None, 100 + 40 * i, 1e-5, power=10 ** (s / 10) / abs(g) ** 2, gain=g)
+        for i, (s, g) in enumerate(zip(snrs, gains))
+    ])
+    allocs = enumerate_allocations(cfg, even_only=True)
+    # mostly components that two or more users load, where interference is heard
+    shared = [a for a in allocs
+              if any(sum(row[l] > 0 for row in a.m[l:]) > 1 for l in range(cfg.users))]
+    alloc = draw(st.sampled_from(shared if shared and draw(st.integers(0, 3)) else allocs))
+    try:
+        sig = build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=draw(st.sampled_from([1, 2]))))
+    except UnsupportedOrderError:
+        assume(False)
+    loaded = [key for key, parts in sig.parts.items() if parts]
+    assume(loaded)
+    k, l = draw(st.sampled_from(sorted(loaded)))
+    return cfg, sig, k, l
+
+
+def assert_matches_bruteforce_2d(cfg, sig, k, l, seed, chunk, noise_scale):
+    tables = _receive_tables(cfg, sig, k, l, 1 << 20)
+    own, w, own_parts, w_parts = tables
+    own2d, w2d = receive_alphabets_2d(cfg, sig, k, l)
+    # the rails are the real and imaginary parts of the 2-D alphabets, to the bit
+    for rails, pts, parts in ((own, own2d, own_parts), (w, w2d, w_parts)):
+        re, im = iq_indices(np.arange(pts.size), parts)
+        assert np.array_equal(rails[re], pts.real)
+        assert np.array_equal(rails[im], pts.imag)
+    # the Philox draw picks the same sent point and the same y as on the 2-D grid
+    y, x = _chunk_draw(seed, chunk, 32, tables)
+    y2d, x_idx = philox_draw_2d(seed, chunk, 32, own2d, w2d)
+    assert np.array_equal(y[0], y2d.real) and np.array_equal(y[1], y2d.imag)
+    assert np.array_equal(np.stack(iq_indices(x_idx, own_parts)), x)
+    got = _density(y, x, own, w)
+    assert np.max(np.abs(got - density_bruteforce_2d(y2d, x_idx, own2d, w2d))) <= 1e-11
+    # and at other y: the same states with rescaled noise
+    rng = np.random.default_rng(seed)
+    y_any = y2d + noise_scale * (rng.standard_normal(32) + 1j * rng.standard_normal(32))
+    got = _density(np.stack([y_any.real, y_any.imag]), x, own, w)
+    want = density_bruteforce_2d(y_any, x_idx, own2d, w2d)
+    assert np.max(np.abs(got - want)) <= 1e-11
+
+
+class TestSeparableKernel:
+    @given(density_cases(), st.integers(0, 2**32 - 1), st.integers(0, 50),
+           st.floats(0.1, 3.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bruteforce_2d(self, case, seed, chunk, noise_scale):
+        assert_matches_bruteforce_2d(*case, seed, chunk, noise_scale)
+
+    @pytest.mark.parametrize(
+        "snrs, m",
+        [
+            ((24.0, 12.0), ((6,), (2, 2))),  # user 1 split in two parts, heard by user 2
+            ((30.0, 18.0, 6.0), ((2,), (6, 0), (0, 0, 2))),  # split user with a silent one
+        ],
+    )
+    def test_multi_part_layouts(self, snrs, m):
+        cfg = ChannelConfig.from_users([UserSpec(s, 100 + 40 * i, 1e-5) for i, s in enumerate(snrs)])
+        sig = build_scheme(cfg, BitAllocation(m=m, scheme_type=2))
+        assert any(len(parts) > 1 for parts in sig.parts.values())
+        for (k, l), parts in sig.parts.items():
+            if parts:
+                assert_matches_bruteforce_2d(cfg, sig, k, l, seed=9, chunk=2, noise_scale=1.5)
 
 
 class TestEstimateStats:
@@ -115,10 +206,8 @@ class TestEstimateStats:
             [UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)]
         )
         sig = build_scheme(cfg, BitAllocation(m=((2,), (2, 4))))
-        from hetmac.infodensity import _receive_tables
-
         for k in (0, 1):
-            own, w = _receive_tables(cfg, sig, k, 0, 1 << 20)
+            own, w = receive_alphabets_2d(cfg, sig, k, 0)
             stats = estimate_stats(cfg, sig, k, 0, samples=100_000, seed=41)
             mi_ref = tin_mi_quadrature(own, w, nodes=48)
             assert abs(stats.mi - mi_ref) < 3 * stats.std_error, (k, stats.mi, mi_ref)
