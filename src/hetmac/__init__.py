@@ -8,8 +8,8 @@ from .detmac import (
     F2Matrix,
     achievability_holds,
     achieved_rates,
-    build_generator_type1,
-    build_generator_type2,
+    allocation_feasible,
+    build_generator,
     component_generators,
     det_mutual_info,
     random_full_rank,
@@ -45,7 +45,6 @@ from .infodensity import (
 from .pipeline import (
     BitAllocation,
     CodeParams,
-    derive_n,
     enumerate_allocations,
     select_code_params,
 )

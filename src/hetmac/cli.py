@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import yaml
 
@@ -25,7 +25,9 @@ from .config import ChannelConfig, UserSpec
 from .errors import (
     ConfigError,
     ConstellationTooLargeError,
+    EnumerationTooLargeError,
     InfeasibleAllocationError,
+    UnsupportedOrderError,
     VerificationError,
 )
 from .fblrate import (
@@ -94,8 +96,13 @@ def _checked_samples(raw, where: str) -> int:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"malformed YAML in {path}: {' '.join(str(exc).split())}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("scenario file must hold a mapping")
     _reject_unknown(raw, _TOP_KEYS, "scenario")
@@ -150,6 +157,10 @@ def load_scenario(path: str) -> Scenario:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"allocations[{j}]: {exc}") from exc
+        if alloc.users != len(users):
+            raise ConfigError(
+                f"allocations[{j}]: m has {alloc.users} rows for {len(users)} users"
+            )
         scenario.allocations.append(
             (str(a["id"]), alloc, str(pinned) if pinned is not None else None)
         )
@@ -177,6 +188,12 @@ def _pack_table(values: dict, users: int) -> str:
     for k in range(users):
         rows.append(";".join(_fmt(values[(k, l)]) for l in range(k + 1)))
     return "|".join(rows)
+
+
+def _benchmark_row(cfg: ChannelConfig, row_type: str, row_id: str, rates) -> str:
+    """CSV row carrying only a rate tuple (canonical order) in the R_k columns."""
+    rates = [_fmt(v) for v in cfg.to_original(list(rates))]
+    return ",".join([row_type, row_id, "", ""] + rates + [""] * (2 * cfg.users + 2))
 
 
 def cmd_region(scenario: Scenario, out_path: str, workers: int = 1) -> int:
@@ -229,40 +246,13 @@ def cmd_region(scenario: Scenario, out_path: str, workers: int = 1) -> int:
     if K == 2:
         region = gaussian_sic_region(cfg)
         for i, corner in enumerate(region.corner_points):
-            pair = cfg.to_original(list(corner))
-            lines.append(
-                ",".join(
-                    ["benchmark_corner", f"corner_{i}", "", ""]
-                    + [_fmt(v) for v in pair]
-                    + [""] * (2 * K)
-                    + ["", ""]
-                )
-            )
+            lines.append(_benchmark_row(cfg, "benchmark_corner", f"corner_{i}", corner))
         for i, vertex in enumerate(region.hull_vertices):
-            pair = cfg.to_original(list(vertex))
-            lines.append(
-                ",".join(
-                    ["benchmark_hull", f"vertex_{i}", "", ""]
-                    + [_fmt(v) for v in pair]
-                    + [""] * (2 * K)
-                    + ["", ""]
-                )
-            )
-    tin = cfg.to_original(gaussian_tin_rates(cfg))
-    lines.append(
-        ",".join(
-            ["gaussian_tin", "tin", "", ""]
-            + [_fmt(v) for v in tin]
-            + [""] * (2 * K)
-            + ["", ""]
-        )
-    )
+            lines.append(_benchmark_row(cfg, "benchmark_hull", f"vertex_{i}", vertex))
+    lines.append(_benchmark_row(cfg, "gaussian_tin", "tin", gaussian_tin_rates(cfg)))
     if scenario.selection_policy != "all":
-        scheme_rows = [r for r in results]
-        if scenario.selection_policy == "max_min":
-            best = max(scheme_rows, key=lambda r: (min(r.rates), r.alloc_id))
-        else:
-            best = max(scheme_rows, key=lambda r: (sum(r.rates), r.alloc_id))
+        score = min if scenario.selection_policy == "max_min" else sum
+        best = max(results, key=lambda r: (score(r.rates), r.alloc_id))
         lines.append(f"# selected alloc_id={best.alloc_id} scheme={best.scheme_label}")
     text = "\n".join(lines) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -281,8 +271,8 @@ def cmd_det_verify(scenario: Scenario, trials: int = 3) -> int:
         for comp in detmac.verify_region(det):
             mark = "ok" if comp.feasible else "INFEASIBLE"
             print(
-                f"  component {comp.component + 1}: load {comp.load} / "
-                f"capacity {comp.capacity} (slack {comp.slack}) {mark}"
+                f"  component {comp.component + 1}, users {comp.first_user + 1}..: "
+                f"load {comp.load} / capacity {comp.capacity} (slack {comp.slack}) {mark}"
             )
         if not detmac.allocation_feasible(det):
             print("  infeasible allocation, skipping rank identities")
@@ -327,7 +317,7 @@ def cmd_codeparams(
     cfg = scenario.channel()
     alloc = _find_alloc(scenario, cfg, alloc_id)
     if scheme_type is not None:
-        alloc = BitAllocation(m=alloc.m, scheme_type=scheme_type)
+        alloc = replace(alloc, scheme_type=scheme_type)
     scheme_type = alloc.scheme_type
     sig = build_scheme(cfg, alloc)
     reports = evaluate_scheme(cfg, sig, scenario.samples, scenario.seed, workers)
@@ -349,7 +339,7 @@ def cmd_constellation(
     cfg = scenario.channel()
     alloc = _find_alloc(scenario, cfg, alloc_id)
     if scheme_type is not None:
-        alloc = BitAllocation(m=alloc.m, scheme_type=scheme_type)
+        alloc = replace(alloc, scheme_type=scheme_type)
     sig = build_scheme(cfg, alloc)
     if not 1 <= component <= cfg.users:
         raise ConfigError(f"component must lie in 1..{cfg.users}")
@@ -371,7 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
     region.add_argument("--samples", type=int)
     region.add_argument("--seed", type=int)
     region.add_argument("--workers", type=int, default=1)
-    region.add_argument("--even-only", action="store_true", default=None)
     region.add_argument("--scheme", choices=["1", "2", "both"])
 
     verify = sub.add_parser("det-verify", help="rank identity checks")
@@ -401,8 +390,11 @@ def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
         scenario.samples = _checked_samples(args.samples, "--samples")
     if getattr(args, "seed", None) is not None:
         scenario.seed = args.seed
-    if getattr(args, "even_only", None):
-        scenario.even_only = True
+    if args.command != "det-verify" and not scenario.even_only:
+        raise ConfigError(
+            "flags.even_only: false is only valid for det-verify; "
+            "QAM signaling needs even orders"
+        )
     scheme = getattr(args, "scheme", None)
     if args.command == "region" and scheme is not None:
         scenario.scheme_types = scheme
@@ -424,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
                 scenario, args.alloc, args.component, args.out, args.scheme
             )
         raise ConfigError(f"unknown command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedOrderError, EnumerationTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except InfeasibleAllocationError as exc:

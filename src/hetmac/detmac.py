@@ -9,7 +9,7 @@ here is small dense GF(2) linear algebra with bit-packed rows.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasibleAllocationError
@@ -51,16 +51,8 @@ class F2Matrix:
             words.append(sum((int(v) & 1) << j for j, v in enumerate(r)))
         return cls(len(rows), cols, tuple(words))
 
-    def get(self, i: int, j: int) -> int:
-        return (self.bits[i] >> j) & 1
-
     def to_rows(self) -> list[list[int]]:
         return [[(w >> j) & 1 for j in range(self.cols)] for w in self.bits]
-
-    def vstack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
-        return F2Matrix(self.rows + other.rows, self.cols, self.bits + other.bits)
 
     def hstack(self, other: "F2Matrix") -> "F2Matrix":
         if self.rows != other.rows:
@@ -148,15 +140,13 @@ class DetConfig:
     """Per-user bit levels n and the per-component bit allocation table m.
 
     Users are 0-indexed and sorted so that n is nonincreasing; m[k] has
-    k+1 entries, one per component the user participates in.  q[k] is
-    the largest level among users k..K-1, which equals n[k] under the
-    sorted ordering.  Infeasible tables are allowed here: feasibility is
-    a property to verify, not a construction invariant.
+    k+1 entries, one per component the user participates in.  Infeasible
+    tables are allowed here: feasibility is a property to verify
+    (verify_region), not a construction invariant.
     """
 
     n: tuple[int, ...]
     m: tuple[tuple[int, ...], ...]
-    q: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
         if any(v < 0 for v in self.n):
@@ -170,21 +160,22 @@ class DetConfig:
                 raise ValueError(f"allocation row {k} must have {k + 1} entries")
             if any(v < 0 for v in row):
                 raise ValueError("allocation entries must be nonnegative")
-        object.__setattr__(self, "q", tuple(self.n))
 
     @property
     def users(self) -> int:
         return len(self.n)
 
-    def component_load(self, component: int, first_user: int | None = None) -> int:
-        """Sum of m[k][component] over users k >= first_user (default: the component)."""
-        lo = component if first_user is None else first_user
-        return sum(self.m[k][component] for k in range(lo, self.users))
-
 
 @dataclass(frozen=True)
 class ComponentFeasibility:
+    """Binding tail-sum constraint of one component.
+
+    load is sum_{i >= first_user} m[i][component] and capacity is
+    n[first_user]; first_user is the tail with the least slack.
+    """
+
     component: int
+    first_user: int
     load: int
     capacity: int
 
@@ -198,25 +189,26 @@ class ComponentFeasibility:
 
 
 def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
-    """Per-component load vs capacity check with slack."""
-    return tuple(
-        ComponentFeasibility(l, cfg.component_load(l), cfg.n[l])
-        for l in range(cfg.users)
-    )
-
-
-def allocation_feasible(cfg: DetConfig) -> bool:
-    """Full region membership: every tail-sum constraint in every component.
+    """Every tail-sum constraint of every component, reduced to the binding one.
 
     Within component l, users k >= l must satisfy sum_{i>=k} m[i][l] <= n[k];
     the component capacity check alone (k = l) is not sufficient for the
-    layered constructions below to exist.
+    layered constructions below to exist.  Each component reports its
+    tail with the least slack, ties going to the smallest user.
     """
+    out = []
     for l in range(cfg.users):
-        for k in range(l, cfg.users):
-            if cfg.component_load(l, k) > cfg.n[k]:
-                return False
-    return True
+        tails = [
+            ComponentFeasibility(l, k, sum(cfg.m[i][l] for i in range(k, cfg.users)), cfg.n[k])
+            for k in range(l, cfg.users)
+        ]
+        out.append(min(tails, key=lambda c: c.slack))
+    return tuple(out)
+
+
+def allocation_feasible(cfg: DetConfig) -> bool:
+    """Full region membership: every tail-sum constraint in every component."""
+    return all(c.feasible for c in verify_region(cfg))
 
 
 def component_layout(
@@ -299,23 +291,26 @@ def component_layout(
     return out
 
 
-def _f_block(f_block: F2Matrix | None, size: int) -> F2Matrix:
-    if f_block is None:
-        return F2Matrix.identity(size)
-    if f_block.rows != size or f_block.cols != size:
-        raise ValueError(f"F block must be {size}x{size}")
-    return f_block
-
-
-def _generator_from_layout(
-    cfg: DetConfig, k: int, component: int, scheme_type: int, f_block: F2Matrix | None
+def build_generator(
+    cfg: DetConfig, k: int, component: int, scheme_type: int, f_block: F2Matrix | None = None
 ) -> F2Matrix:
+    """Generator of user k in one component: the full-rank block f_block
+    (default identity, the simplest witness) placed on the user's depth
+    windows from component_layout, zero rows elsewhere.
+
+    scheme_type 1 gives [zeros; F; zeros; zeros], the block directly
+    above the weaker users' windows; scheme_type 2 fills the user's
+    exclusive level slot and splits any overflow off below the weaker
+    users' windows.
+    """
     if not 0 <= component <= k < cfg.users:
         raise ValueError("need component <= user < K")
     m_col = [cfg.m[i][component] for i in range(component, cfg.users)]
     fragments = component_layout(cfg.n, m_col, component, scheme_type)[k]
     mk = cfg.m[k][component]
-    f = _f_block(f_block, mk)
+    f = F2Matrix.identity(mk) if f_block is None else f_block
+    if (f.rows, f.cols) != (mk, mk):
+        raise ValueError(f"F block must be {mk}x{mk}")
     shift = cfg.n[component] - cfg.n[k]
     rows = [0] * cfg.n[component]
     used = 0
@@ -326,24 +321,6 @@ def _generator_from_layout(
     return F2Matrix(cfg.n[component], mk, tuple(rows))
 
 
-def build_generator_type1(
-    cfg: DetConfig, k: int, component: int, f_block: F2Matrix | None = None
-) -> F2Matrix:
-    """Suffix-anchored generator: [zeros; F; zeros; zeros], the full-rank
-    block sitting directly above the weaker users' windows.  f_block
-    defaults to the identity (the simplest full-rank witness)."""
-    return _generator_from_layout(cfg, k, component, 1, f_block)
-
-
-def build_generator_type2(
-    cfg: DetConfig, k: int, component: int, f_block: F2Matrix | None = None
-) -> F2Matrix:
-    """Ceiling-anchored generator: the block fills the user's exclusive
-    level slot (flush at the slot's bottom edge) and any overflow is
-    split off below the weaker users' windows."""
-    return _generator_from_layout(cfg, k, component, 2, f_block)
-
-
 def component_generators(
     cfg: DetConfig,
     component: int,
@@ -351,11 +328,10 @@ def component_generators(
     f_blocks: Mapping[int, F2Matrix] | None = None,
 ) -> dict[int, F2Matrix]:
     """Generators for every user active in the given component."""
-    build = {1: build_generator_type1, 2: build_generator_type2}[scheme_type]
     out = {}
     for k in range(component, cfg.users):
         f = f_blocks.get(k) if f_blocks is not None else None
-        out[k] = build(cfg, k, component, f)
+        out[k] = build_generator(cfg, k, component, scheme_type, f)
     return out
 
 

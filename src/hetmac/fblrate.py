@@ -13,13 +13,14 @@ absolute central moment of the density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from scipy.special import erfc, erfcinv
 
 from .config import ChannelConfig
 from .infodensity import LOG2_E, DensityStats, estimate_stats
+from .pipeline import BitAllocation
 from .signaling import SchemeSignaling, build_scheme, schemes_identical
 
 #: Berry-Esseen constant for i.i.d. sums.
@@ -246,7 +247,7 @@ class SweepResult:
 
     alloc_id: str
     scheme_label: str
-    alloc: object
+    alloc: BitAllocation
     signaling: SchemeSignaling
     reports: tuple[RateReport, ...]
 
@@ -289,7 +290,7 @@ def evaluate_scheme(
 
 def rate_region_sweep(
     cfg: ChannelConfig,
-    allocations: Sequence[tuple[str, object]],
+    allocations: Sequence[tuple[str, BitAllocation]],
     samples: int = 200_000,
     seed: int = 0,
     scheme_types: str = "both",
@@ -305,7 +306,7 @@ def rate_region_sweep(
     results = []
     for alloc_id, alloc in allocations:
         variants: list[tuple[str, SchemeSignaling]] = []
-        built = {t: build_scheme(cfg, _with_type(alloc, t)) for t in wanted}
+        built = {t: build_scheme(cfg, replace(alloc, scheme_type=t)) for t in wanted}
         if len(wanted) == 2 and schemes_identical(built[1], built[2]):
             variants.append(("1&2", built[1]))
         else:
@@ -323,8 +324,3 @@ def rate_region_sweep(
             )
     return results
 
-
-def _with_type(alloc, scheme_type: int):
-    if getattr(alloc, "scheme_type", None) == scheme_type:
-        return alloc
-    return type(alloc)(m=alloc.m, scheme_type=scheme_type)

@@ -1,5 +1,5 @@
-"""End-to-end parameter selection: bit levels, allocation enumeration,
-and channel-code parameter derivation."""
+"""End-to-end parameter selection: allocation enumeration and
+channel-code parameter derivation."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .config import ChannelConfig, bit_levels
+from .config import ChannelConfig
 from .errors import EnumerationTooLargeError
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -35,24 +35,8 @@ class BitAllocation:
     def users(self) -> int:
         return len(self.m)
 
-    def is_even(self) -> bool:
-        return all(v % 2 == 0 for row in self.m for v in row)
-
-    def is_feasible(self, n: Sequence[int]) -> bool:
-        K = self.users
-        for l in range(K):
-            for k in range(l, K):
-                if sum(self.m[i][l] for i in range(k, K)) > n[k]:
-                    return False
-        return True
-
     def flat(self) -> tuple[int, ...]:
         return tuple(v for row in self.m for v in row)
-
-
-def derive_n(cfg: ChannelConfig) -> tuple[int, ...]:
-    """Per-user bit levels: max(0, ceil(log2 SNR))."""
-    return tuple(bit_levels(s) for s in cfg.snr)
 
 
 def _component_tuples(

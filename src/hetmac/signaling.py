@@ -24,6 +24,7 @@ from .errors import (
     InfeasibleAllocationError,
     UnsupportedOrderError,
 )
+from .pipeline import BitAllocation
 
 DEFAULT_POINT_CAP = 1 << 20
 
@@ -51,11 +52,6 @@ class Constellation:
             self.dmin * abs(factor),
             self.avg_energy * factor * factor,
         )
-
-
-def silent_constellation() -> Constellation:
-    """Single point at the origin: the user sends nothing in this sub-block."""
-    return Constellation(np.zeros(1, dtype=np.complex128), 1, 0.0, 0.0)
 
 
 def pam_axis(order_bits: int, dmin: float) -> np.ndarray:
@@ -151,10 +147,15 @@ class SchemeSignaling:
 
     scheme_type: int
     parts: dict[tuple[int, int], tuple[ScaledPart, ...]]
-    constellations: dict[tuple[int, int], Constellation]
     eta: tuple[float, ...]
     energies: dict[tuple[int, int], float]
     zeta: dict[tuple[int, int], float]
+
+    @property
+    def constellations(self) -> dict[tuple[int, int], Constellation]:
+        """Distinct transmit points with their geometry, per (user, sub-block);
+        a sub-block without bits is the single point at the origin."""
+        return {key: Constellation.from_points(self.transmit_points(*key)) for key in self.parts}
 
     def transmit_points(self, k: int, l: int) -> np.ndarray:
         """Symbol alphabet with multiplicity: Minkowski sum over the parts."""
@@ -217,31 +218,26 @@ def _part_layout(
     return tuple(parts)
 
 
-def build_scheme(cfg: ChannelConfig, alloc) -> SchemeSignaling:
+def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
     """Translate a feasible bit allocation into scaled QAM signaling.
 
-    alloc is a BitAllocation (or anything with .m and .scheme_type).
     Raises InfeasibleAllocationError when any tail-sum constraint of the
-    layered region is violated.
+    layered region is violated (detmac.verify_region).
     """
-    m = tuple(tuple(row) for row in alloc.m)
-    scheme_type = getattr(alloc, "scheme_type", 1)
+    m = alloc.m
     K = cfg.users
-    if len(m) != K or any(len(m[k]) != k + 1 for k in range(K)):
-        raise ValueError("allocation table shape does not match the user count")
-    for l in range(K):
-        for k in range(l, K):
-            load = sum(m[i][l] for i in range(k, K))
-            if load > cfg.n[k]:
-                raise InfeasibleAllocationError(
-                    f"component {l}: users {k}.. load {load} exceeds level {cfg.n[k]}"
-                )
+    for comp in detmac.verify_region(detmac.DetConfig(cfg.n, m)):
+        if not comp.feasible:
+            raise InfeasibleAllocationError(
+                f"component {comp.component}: users {comp.first_user}.. "
+                f"load {comp.load} exceeds level {comp.capacity}"
+            )
 
     parts_pre: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
     energies: dict[tuple[int, int], float] = {}
     for k in range(K):
         for l in range(k + 1):
-            layout = _part_layout(cfg, m, k, l, scheme_type)
+            layout = _part_layout(cfg, m, k, l, alloc.scheme_type)
             parts_pre[(k, l)] = layout
             energies[(k, l)] = sum(
                 2.0**e * ((1 << order) - 1) / 6.0 for order, e in layout
@@ -253,30 +249,23 @@ def build_scheme(cfg: ChannelConfig, alloc) -> SchemeSignaling:
         eta.append(1.0 / math.sqrt(peak) if peak > 0 else 1.0)
 
     parts: dict[tuple[int, int], tuple[ScaledPart, ...]] = {}
-    constellations: dict[tuple[int, int], Constellation] = {}
     zeta: dict[tuple[int, int], float] = {}
     active = [any(v > 0 for v in m[k]) for k in range(K)]
     for k in range(K):
         for l in range(k + 1):
             amp = eta[l] * math.sqrt(cfg.P[k])
-            built = tuple(
+            parts[(k, l)] = tuple(
                 ScaledPart(order, amp * 2.0 ** (e / 2.0)) for order, e in parts_pre[(k, l)]
             )
-            parts[(k, l)] = built
-            if not built:
-                constellations[(k, l)] = silent_constellation()
+            if not parts[(k, l)]:
                 zeta[(k, l)] = 1.0 if active[k] else 0.0
                 continue
-            constellations[(k, l)] = Constellation.from_points(
-                minkowski_sum(part.points() for part in built)
-            )
             peak = max(energies[(i, l)] for i in range(l, K))
             zeta[(k, l)] = energies[(k, l)] / peak
 
     return SchemeSignaling(
-        scheme_type=scheme_type,
+        scheme_type=alloc.scheme_type,
         parts=parts,
-        constellations=constellations,
         eta=tuple(eta),
         energies=energies,
         zeta=zeta,

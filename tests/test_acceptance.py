@@ -18,7 +18,6 @@ from hetmac.fblrate import (
 from hetmac.infodensity import MI_GAP_BITS, estimate_stats, gaussian_tin_mi
 from hetmac.pipeline import BitAllocation
 from hetmac.signaling import (
-    Constellation,
     ScaledPart,
     SchemeSignaling,
     build_scheme,
@@ -326,11 +325,9 @@ def _single_user_scheme(snr_db: float, order: int):
     cfg = ChannelConfig.from_users([UserSpec(snr_db, 128, 1e-5)])
     qam = regular_qam(order, 1.0)
     part = ScaledPart(order, math.sqrt(cfg.snr[0] / qam.avg_energy))
-    const = Constellation.from_points(part.points())
     sig = SchemeSignaling(
         scheme_type=1,
         parts={(0, 0): (part,)},
-        constellations={(0, 0): const},
         eta=(1.0,),
         energies={(0, 0): part.energy},
         zeta={(0, 0): 1.0},

@@ -91,6 +91,70 @@ class TestScenarioLoading:
         path = write_scenario(tmp_path, payload)
         assert main(["det-verify", "--scenario", path]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "case",
+        ["missing_file", "directory", "not_utf8", "malformed_yaml", "row_count", "too_many_allocations"],
+    )
+    @pytest.mark.parametrize("command", ["region", "det-verify"])
+    def test_bad_input_exits_two_without_traceback(self, tmp_path, capsys, case, command):
+        payload = base_payload()
+        if case == "missing_file":
+            path = str(tmp_path / "absent.yaml")
+        elif case == "directory":
+            path = str(tmp_path)
+        elif case == "not_utf8":
+            path = str(tmp_path / "latin1.yaml")
+            Path(path).write_bytes("users: [{snr_db: 24.0, note: \u00e9}]\n".encode("latin-1"))
+        elif case == "malformed_yaml":
+            path = str(tmp_path / "bad.yaml")
+            Path(path).write_text("users: [\n  {snr_db: 24.0\n")
+        elif case == "row_count":
+            payload["allocations"] = [{"id": "E", "m": [[4], [4, 4], [2, 2, 2]]}]
+            path = write_scenario(tmp_path, payload)
+        else:
+            # levels 20/16/12/8: 11,375,000 even allocations
+            del payload["allocations"]
+            payload["users"] = [
+                {"snr_db": snr, "blocklength": 128 + i, "target_eps": 1e-5}
+                for i, snr in enumerate((60.0, 48.0, 36.0, 24.0))
+            ]
+            path = write_scenario(tmp_path, payload)
+        argv = [command, "--scenario", path]
+        if command == "region":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, even_only, expected",
+        [
+            ("region", True, EXIT_CONFIG),
+            ("codeparams", True, EXIT_CONFIG),
+            ("constellation", True, EXIT_CONFIG),
+            ("region", False, EXIT_CONFIG),
+            ("det-verify", False, EXIT_OK),
+        ],
+    )
+    def test_odd_orders_rejected_by_qam_commands(self, tmp_path, capsys, command, even_only, expected):
+        payload = base_payload()
+        payload["allocations"] = [{"id": "E", "m": [[3], [0, 4]]}]
+        payload["flags"] = {"even_only": even_only}
+        path = write_scenario(tmp_path, payload)
+        argv = [command, "--scenario", path]
+        argv += {
+            "region": ["--out", str(tmp_path / "r.csv")],
+            "codeparams": ["--alloc", "E"],
+            "constellation": ["--alloc", "E", "--component", "1", "--out", str(tmp_path / "p.csv")],
+            "det-verify": [],
+        }[command]
+        assert main(argv) == expected
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if expected == EXIT_CONFIG:
+            assert err.startswith("config error: ") and err.count("\n") == 1
+
 
 class TestArgumentChecks:
     @staticmethod
@@ -141,6 +205,12 @@ class TestDetVerify:
         path = write_scenario(tmp_path, payload)
         assert main(["det-verify", "--scenario", path]) == EXIT_INFEASIBLE
         assert "infeasible" in capsys.readouterr().out.lower()
+        # component 1 fits 8 <= 8 bits overall, but user 2's tail carries 6 > 4
+        payload["allocations"] = [{"id": "tail", "m": [[2], [6, 0]]}]
+        path = write_scenario(tmp_path, payload)
+        assert main(["det-verify", "--scenario", path]) == EXIT_INFEASIBLE
+        out = capsys.readouterr().out
+        assert "component 1, users 2..: load 6 / capacity 4 (slack -2) INFEASIBLE" in out
 
     def test_empty_allocation_trivially_passes(self, tmp_path):
         payload = base_payload()

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -9,8 +10,8 @@ from hetmac.detmac import (
     F2Matrix,
     achievability_holds,
     achieved_rates,
-    build_generator_type1,
-    build_generator_type2,
+    allocation_feasible,
+    build_generator,
     component_generators,
     component_layout,
     det_mutual_info,
@@ -21,7 +22,21 @@ from hetmac.detmac import (
 )
 from hetmac.errors import InfeasibleAllocationError
 
-from oracles import rank_by_subsets
+from oracles import enumerate_tables_brute, rank_by_subsets
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_tables(n: tuple[int, ...]) -> set:
+    return enumerate_tables_brute(n, even_only=False)
+
+
+@st.composite
+def _levels_and_table(draw):
+    """Sorted levels of 1-3 users up to 6, and a table from the box m[k][l] <= n[l]."""
+    users = draw(st.integers(1, 3))
+    n = tuple(sorted(draw(st.lists(st.integers(0, 6), min_size=users, max_size=users)), reverse=True))
+    m = tuple(tuple(draw(st.integers(0, n[l])) for l in range(k + 1)) for k in range(users))
+    return n, m
 
 
 class TestRank:
@@ -80,16 +95,16 @@ class TestGenerators:
     def test_two_user_layout(self):
         # levels (10, 8) with 6+4 bits filling component 1 exactly
         cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        g1 = build_generator_type1(cfg, 0, 0)
+        g1 = build_generator(cfg, 0, 0, 1)
         assert (g1.rows, g1.cols) == (10, 6)
         # full-rank block occupies the top six rows, zero rows below
         assert [g1.bits[i] != 0 for i in range(10)] == [True] * 6 + [False] * 4
-        g21 = build_generator_type1(cfg, 1, 0)
+        g21 = build_generator(cfg, 1, 0, 1)
         assert [g21.bits[i] != 0 for i in range(10)] == [False] * 4 + [True] * 4 + [False] * 2
 
     def test_empty_message(self):
         cfg = DetConfig(n=(10, 8), m=((0,), (4, 8)))
-        g = build_generator_type1(cfg, 0, 0)
+        g = build_generator(cfg, 0, 0, 1)
         assert (g.rows, g.cols) == (10, 0)
 
     def test_three_user_disjoint_supports(self):
@@ -103,32 +118,32 @@ class TestGenerators:
 
     def test_type2_two_user_split(self):
         cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        g = build_generator_type2(cfg, 0, 0)
+        g = build_generator(cfg, 0, 0, 2)
         # upper part in the top n1-n2 = 2 rows, lower part below user 2's window
         nonzero = [i for i in range(10) if g.bits[i]]
         assert nonzero == [0, 1, 6, 7, 8, 9]
 
     def test_type2_single_user_is_top_block(self):
         cfg = DetConfig(n=(6,), m=((4,),))
-        g = build_generator_type2(cfg, 0, 0)
+        g = build_generator(cfg, 0, 0, 2)
         assert [g.bits[i] != 0 for i in range(6)] == [True] * 4 + [False] * 2
 
     def test_type2_full_last_user_has_no_padding(self):
         cfg = DetConfig(n=(6, 4), m=((2,), (0, 4)))
-        g = build_generator_type2(cfg, 1, 1)
+        g = build_generator(cfg, 1, 1, 2)
         assert all(g.bits[i] for i in range(4))
 
     def test_infeasible_allocation_raises(self):
         cfg = DetConfig(n=(3,), m=((4,),))
         with pytest.raises(InfeasibleAllocationError):
-            build_generator_type1(cfg, 0, 0)
+            build_generator(cfg, 0, 0, 1)
         with pytest.raises(InfeasibleAllocationError):
-            build_generator_type2(cfg, 0, 0)
+            build_generator(cfg, 0, 0, 2)
 
     def test_bad_f_block_shape(self):
         cfg = DetConfig(n=(4,), m=((2,),))
         with pytest.raises(ValueError):
-            build_generator_type1(cfg, 0, 0, F2Matrix.identity(3))
+            build_generator(cfg, 0, 0, 1, F2Matrix.identity(3))
 
 
 class TestMutualInfo:
@@ -178,7 +193,7 @@ class TestRegion:
         assert comps[0].load == 8 and comps[0].slack == 0 and comps[0].feasible
         assert comps[1].feasible
 
-    def test_all_zero_is_feasible(self):
+    def test_all_zero_allocation_feasible(self):
         cfg = DetConfig(n=(8, 4), m=((0,), (0, 0)))
         assert all(c.feasible for c in verify_region(cfg))
 
@@ -186,6 +201,28 @@ class TestRegion:
         cfg = DetConfig(n=(3,), m=((4,),))
         comp = verify_region(cfg)[0]
         assert not comp.feasible and comp.slack == -1
+
+    def test_binding_tail_below_component_user(self):
+        # component 1 holds 8 <= 8 bits, but user 2's tail carries 6 > 4
+        cfg = DetConfig(n=(8, 4), m=((2,), (6, 0)))
+        comp = verify_region(cfg)[0]
+        assert not comp.feasible
+        assert (comp.first_user, comp.load, comp.capacity) == (1, 6, 4)
+        assert not allocation_feasible(cfg)
+
+    @given(_levels_and_table())
+    @settings(max_examples=100, deadline=None)
+    def test_single_rule_matches_brute_oracle(self, case):
+        n, m = case
+        feasible = m in _brute_tables(n)
+        assert allocation_feasible(DetConfig(n, m)) == feasible
+        layout_raised = False
+        for l in range(len(n)):
+            try:
+                component_layout(n, [m[k][l] for k in range(l, len(n))], l, scheme_type=1)
+            except InfeasibleAllocationError:
+                layout_raised = True
+        assert layout_raised == (not feasible)
 
 
 class TestLayout:

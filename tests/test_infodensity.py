@@ -49,11 +49,9 @@ def faint_qpsk_scheme(amplitude: float):
     """QPSK with a hand-set transmit amplitude, for limit behaviour tests."""
     cfg = single_user_cfg(5.0)
     part = ScaledPart(2, amplitude)
-    const = Constellation.from_points(part.points())
     sig = SchemeSignaling(
         scheme_type=1,
         parts={(0, 0): (part,)},
-        constellations={(0, 0): const},
         eta=(1.0,),
         energies={(0, 0): part.energy},
         zeta={(0, 0): part.energy / cfg.P[0]},
@@ -281,7 +279,6 @@ class TestSumConstellation:
         sum_sig = SchemeSignaling(
             scheme_type=1,
             parts={(0, 0): (part,)},
-            constellations={(0, 0): const},
             eta=(1.0,),
             energies={(0, 0): part.energy},
             zeta={(0, 0): 1.0},

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from hetmac.config import ChannelConfig, UserSpec
+from hetmac.detmac import DetConfig, allocation_feasible
 from hetmac.errors import EnumerationTooLargeError
 from hetmac.pipeline import (
     BitAllocation,
-    derive_n,
     enumerate_allocations,
     select_code_params,
 )
@@ -23,15 +23,15 @@ def two_user():
 
 class TestDeriveN:
     def test_reference_levels(self):
-        assert derive_n(two_user()) == (8, 4)
+        assert two_user().n == (8, 4)
 
     def test_clamped_at_zero(self):
         cfg = ChannelConfig.from_users([UserSpec(-3.0, 100, 1e-4)])
-        assert derive_n(cfg) == (0,)
+        assert cfg.n == (0,)
 
     def test_exact_power_of_two(self):
         cfg = ChannelConfig.from_users([UserSpec(10 * math.log10(256.0), 100, 1e-4)])
-        assert derive_n(cfg) == (8,)
+        assert cfg.n == (8,)
 
 
 class TestEnumerate:
@@ -137,7 +137,5 @@ class TestBitAllocation:
 
     def test_predicates(self):
         alloc = BitAllocation(m=((6,), (2, 4)))
-        assert alloc.is_even()
-        assert alloc.is_feasible((8, 4))
-        assert not alloc.is_feasible((6, 4))
-        assert not BitAllocation(m=((3,), (2, 4))).is_even()
+        assert allocation_feasible(DetConfig((8, 4), alloc.m))
+        assert not allocation_feasible(DetConfig((6, 4), alloc.m))
