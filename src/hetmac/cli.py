@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 invalid config, 3 infeasible allocation,
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -28,7 +29,6 @@ from .errors import (
     EnumerationTooLargeError,
     InfeasibleAllocationError,
     UnsupportedOrderError,
-    VerificationError,
 )
 from .fblrate import (
     evaluate_scheme,
@@ -72,24 +72,47 @@ class Scenario:
 def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
 
 
-def _parse_gain(raw):
+def _mapping(raw, where: str) -> dict:
+    """An optional section: absent or empty means {}, anything else must be a mapping."""
+    if not raw:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    return raw
+
+
+def _number(raw, where: str, kind: type = float):
+    """raw converted by kind (int or float); anything else, infinities and
+    fractions where an int is wanted are config errors."""
+    try:
+        value = kind(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or not math.isfinite(value) or isinstance(raw, float) and value != raw:
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{where} must be {noun}, got {raw!r}")
+    return value
+
+
+def _optional_number(raw, where: str):
+    return None if raw is None else _number(raw, where)
+
+
+def _parse_gain(raw, where: str):
     if raw is None:
         return None
     if isinstance(raw, (int, float)):
-        return float(raw)
+        return _number(raw, where)
     if isinstance(raw, list) and len(raw) == 2:
-        return complex(float(raw[0]), float(raw[1]))
-    raise ConfigError("gain must be a number or a [re, im] pair")
+        return complex(_number(raw[0], where), _number(raw[1], where))
+    raise ConfigError(f"{where} must be a number or a [re, im] pair")
 
 
 def _checked_samples(raw, where: str) -> int:
-    try:
-        samples = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where} must be an integer, got {raw!r}") from None
+    samples = _number(raw, where, int)
     if samples < MIN_SAMPLES:
         raise ConfigError(f"{where} must be at least {MIN_SAMPLES}, got {samples}")
     return samples
@@ -118,20 +141,20 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError(f"users[{i}] needs blocklength and target_eps")
         users.append(
             UserSpec(
-                snr_db=u.get("snr_db"),
-                blocklength=int(u["blocklength"]),
-                target_eps=float(u["target_eps"]),
-                power=u.get("power"),
-                gain=_parse_gain(u.get("gain")),
+                snr_db=_optional_number(u.get("snr_db"), f"users[{i}].snr_db"),
+                blocklength=_number(u["blocklength"], f"users[{i}].blocklength", int),
+                target_eps=_number(u["target_eps"], f"users[{i}].target_eps"),
+                power=_optional_number(u.get("power"), f"users[{i}].power"),
+                gain=_parse_gain(u.get("gain"), f"users[{i}].gain"),
             )
         )
     scenario = Scenario(users=users)
-    est = raw.get("estimator", {})
+    est = _mapping(raw.get("estimator"), "estimator")
     if est:
         _reject_unknown(est, _ESTIMATOR_KEYS, "estimator")
         scenario.samples = _checked_samples(est.get("samples", scenario.samples), "estimator.samples")
-        scenario.seed = int(est.get("seed", scenario.seed))
-    flags = raw.get("flags", {})
+        scenario.seed = _number(est.get("seed", scenario.seed), "estimator.seed", int)
+    flags = _mapping(raw.get("flags"), "flags")
     if flags:
         _reject_unknown(flags, _FLAG_KEYS, "flags")
         scenario.even_only = bool(flags.get("even_only", True))
@@ -141,7 +164,10 @@ def load_scenario(path: str) -> Scenario:
             raise ConfigError("scheme_types must be 1, 2 or both")
         if scenario.selection_policy not in ("all", "max_min", "sum_rate"):
             raise ConfigError("selection_policy must be all, max_min or sum_rate")
-    for j, a in enumerate(raw.get("allocations") or []):
+    allocations = raw.get("allocations") or []
+    if not isinstance(allocations, list):
+        raise ConfigError("allocations must be a list")
+    for j, a in enumerate(allocations):
         if not isinstance(a, dict):
             raise ConfigError(f"allocations[{j}] must be a mapping")
         _reject_unknown(a, _ALLOC_KEYS, f"allocations[{j}]")
@@ -155,7 +181,7 @@ def load_scenario(path: str) -> Scenario:
                 m=tuple(tuple(row) for row in a["m"]),
                 scheme_type=int(pinned) if pinned is not None else 1,
             )
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"allocations[{j}]: {exc}") from exc
         if alloc.users != len(users):
             raise ConfigError(
@@ -290,13 +316,15 @@ def cmd_det_verify(scenario: Scenario, trials: int = 3) -> int:
             ]
             for f_blocks in witnesses:
                 rates = detmac.achieved_rates(det, scheme_type, f_blocks)
+                if scheme_type == 1 and f_blocks is None:
+                    identity_rates = rates
                 bad = {kl: r for kl, r in rates.items() if r != det.m[kl[0]][kl[1]]}
                 if bad:
                     print(f"  scheme {scheme_type}: VIOLATION {bad}")
                     status = max(status, EXIT_VIOLATION)
-        rates = detmac.achieved_rates(det, 1)
         summary = ", ".join(
-            f"I(user {k + 1}; block {l + 1})={r}" for (k, l), r in sorted(rates.items())
+            f"I(user {k + 1}; block {l + 1})={r}"
+            for (k, l), r in sorted(identity_rates.items())
         )
         print(f"  rates: {summary}")
     if status == EXIT_OK:
@@ -422,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleAllocationError as exc:
         print(f"infeasible allocation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (VerificationError, ConstellationTooLargeError) as exc:
+    except ConstellationTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

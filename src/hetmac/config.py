@@ -18,8 +18,8 @@ _INT_SNAP = 1e-9  # tolerance for log2(SNR) landing on an integer
 
 def bit_levels(snr: float) -> int:
     """Nonnegative ceiling of log2(SNR), snapping near-integer values."""
-    if snr <= 0:
-        raise ConfigError("SNR must be positive")
+    if not 0 < snr < math.inf:
+        raise ConfigError(f"SNR must be positive and finite, got {snr:g}")
     r = math.log2(snr)
     nearest = round(r)
     if abs(r - nearest) < _INT_SNAP:
@@ -28,7 +28,10 @@ def bit_levels(snr: float) -> int:
 
 
 def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

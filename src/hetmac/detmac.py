@@ -28,8 +28,7 @@ class F2Matrix:
             raise ValueError("negative dimensions")
         if len(self.bits) != self.rows:
             raise ValueError("bits must hold one word per row")
-        mask = (1 << self.cols) - 1
-        if any(b & ~mask for b in self.bits):
+        if self.bits and (min(self.bits) < 0 or max(self.bits) >> self.cols):
             raise ValueError("row word has bits beyond the column count")
 
     @classmethod
@@ -84,28 +83,30 @@ class F2Matrix:
         return F2Matrix(self.rows, self.cols, (0,) * s + self.bits[: self.rows - s])
 
 
+def _rank_words(words: Iterable[int]) -> int:
+    """GF(2) rank of packed row words by an XOR basis.
+
+    Each word is reduced by the basis elements in insertion order, taking
+    w ^ b whenever that is smaller, i.e. whenever w holds b's leading bit.
+    Every element was reduced the same way by all earlier ones, so it
+    holds none of their leading bits: a reduced word holds no leading bit
+    of the basis, the leading bits stay distinct, and a nonzero remainder
+    is independent of the basis.
+    """
+    basis: list[int] = []
+    for w in words:
+        for b in basis:
+            x = w ^ b
+            if x < w:
+                w = x
+        if w:
+            basis.append(w)
+    return len(basis)
+
+
 def rank_f2(m: F2Matrix) -> int:
-    """Rank over GF(2) by column-pivoted Gaussian elimination."""
-    work = list(m.bits)
-    rank = 0
-    row = 0
-    for col in range(m.cols):
-        pivot = None
-        for r in range(row, len(work)):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        work[row], work[pivot] = work[pivot], work[row]
-        for r in range(len(work)):
-            if r != row and (work[r] >> col) & 1:
-                work[r] ^= work[row]
-        rank += 1
-        row += 1
-        if row == len(work):
-            break
-    return rank
+    """Rank over GF(2) of the matrix's row words."""
+    return _rank_words(m.bits)
 
 
 def shift_matrix(q: int, s: int) -> F2Matrix:
@@ -120,19 +121,9 @@ def random_full_rank(n: int, rng: random.Random) -> F2Matrix:
     if n == 0:
         return F2Matrix(0, 0, ())
     while True:
-        m = F2Matrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
+        m = F2Matrix(n, n, tuple([rng.getrandbits(n) for _ in range(n)]))
         if rank_f2(m) == n:
             return m
-
-
-def hconcat(mats: Iterable[F2Matrix]) -> F2Matrix:
-    mats = list(mats)
-    if not mats:
-        raise ValueError("nothing to concatenate")
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.hstack(m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -291,6 +282,28 @@ def component_layout(
     return out
 
 
+def _place_block(
+    cfg: DetConfig,
+    k: int,
+    component: int,
+    fragments: Sequence[tuple[int, int]],
+    f_block: F2Matrix | None,
+) -> F2Matrix:
+    """User k's generator: f_block's rows on the depth windows fragments."""
+    mk = cfg.m[k][component]
+    f = F2Matrix.identity(mk) if f_block is None else f_block
+    if (f.rows, f.cols) != (mk, mk):
+        raise ValueError(f"F block must be {mk}x{mk}")
+    shift = cfg.n[component] - cfg.n[k]
+    rows = [0] * cfg.n[component]
+    used = 0
+    for start, end in fragments:
+        for depth in range(start + 1, end + 1):
+            rows[depth - 1 - shift] = f.bits[used]
+            used += 1
+    return F2Matrix(cfg.n[component], mk, tuple(rows))
+
+
 def build_generator(
     cfg: DetConfig, k: int, component: int, scheme_type: int, f_block: F2Matrix | None = None
 ) -> F2Matrix:
@@ -307,18 +320,7 @@ def build_generator(
         raise ValueError("need component <= user < K")
     m_col = [cfg.m[i][component] for i in range(component, cfg.users)]
     fragments = component_layout(cfg.n, m_col, component, scheme_type)[k]
-    mk = cfg.m[k][component]
-    f = F2Matrix.identity(mk) if f_block is None else f_block
-    if (f.rows, f.cols) != (mk, mk):
-        raise ValueError(f"F block must be {mk}x{mk}")
-    shift = cfg.n[component] - cfg.n[k]
-    rows = [0] * cfg.n[component]
-    used = 0
-    for start, end in fragments:
-        for depth in range(start + 1, end + 1):
-            rows[depth - 1 - shift] = f.bits[used]
-            used += 1
-    return F2Matrix(cfg.n[component], mk, tuple(rows))
+    return _place_block(cfg, k, component, fragments, f_block)
 
 
 def component_generators(
@@ -328,11 +330,47 @@ def component_generators(
     f_blocks: Mapping[int, F2Matrix] | None = None,
 ) -> dict[int, F2Matrix]:
     """Generators for every user active in the given component."""
-    out = {}
-    for k in range(component, cfg.users):
-        f = f_blocks.get(k) if f_blocks is not None else None
-        out[k] = build_generator(cfg, k, component, scheme_type, f)
-    return out
+    m_col = [cfg.m[i][component] for i in range(component, cfg.users)]
+    layout = component_layout(cfg.n, m_col, component, scheme_type)
+    return {
+        k: _place_block(cfg, k, component, layout[k], f_blocks.get(k) if f_blocks else None)
+        for k in range(component, cfg.users)
+    }
+
+
+def _tin_ranks(
+    cfg: DetConfig, generators: Mapping[int, F2Matrix], component: int
+) -> dict[int, int]:
+    """rank(all) - rank(all but k) for every user k of the component.
+
+    The row words of [S^(n_l - n_u) G_u]_u, concatenated by columns in
+    user order, are built straight from the generators' bits; user u's
+    columns sit under mask[u], so "all but k" is every word with k's
+    columns cleared, and rank(all) is computed once.
+    """
+    nl = cfg.n[component]
+    words = [0] * nl
+    masks = {}
+    offset = 0
+    for user in sorted(generators):
+        g = generators[user]
+        if g.rows != nl:
+            raise ValueError(f"generator for user {user} has {g.rows} rows, expected {nl}")
+        shift = nl - cfg.n[user]
+        if not 0 <= shift <= nl:
+            raise ValueError("shift outside [0, rows]")
+        for r, b in enumerate(g.bits[: nl - shift], shift):
+            if b:
+                words[r] |= b << offset
+        masks[user] = ((1 << g.cols) - 1) << offset
+        offset += g.cols
+    rank_all = _rank_words(words)
+    rates = {}
+    for user, mask in masks.items():
+        keep = ~mask
+        # a user without columns leaves every word as it is: rate 0
+        rates[user] = rank_all - _rank_words([w & keep for w in words]) if mask else 0
+    return rates
 
 
 def det_mutual_info(
@@ -341,18 +379,7 @@ def det_mutual_info(
     """TIN rate of user k in one component: rank(all) - rank(interferers)."""
     if k not in generators:
         raise ValueError(f"no generator for user {k}")
-    shifted = {}
-    for user, g in generators.items():
-        if g.rows != cfg.n[component]:
-            raise ValueError(
-                f"generator for user {user} has {g.rows} rows, expected {cfg.n[component]}"
-            )
-        shifted[user] = g.shifted_down(cfg.n[component] - cfg.n[user])
-    everyone = hconcat(shifted[u] for u in sorted(shifted))
-    others = [shifted[u] for u in sorted(shifted) if u != k]
-    if not others:
-        return rank_f2(shifted[k])
-    return rank_f2(everyone) - rank_f2(hconcat(others))
+    return _tin_ranks(cfg, generators, component)[k]
 
 
 def achieved_rates(
@@ -367,8 +394,8 @@ def achieved_rates(
         if f_blocks is not None:
             per_user = {k: f for (k, fl), f in f_blocks.items() if fl == l}
         gens = component_generators(cfg, l, scheme_type, per_user)
-        for k in range(l, cfg.users):
-            rates[(k, l)] = det_mutual_info(cfg, gens, k, l)
+        for k, r in _tin_ranks(cfg, gens, l).items():
+            rates[(k, l)] = r
     return rates
 
 

@@ -23,7 +23,3 @@ class ConstellationTooLargeError(RuntimeError):
 
 class EnumerationTooLargeError(RuntimeError):
     """Allocation enumeration would exceed the configured cap."""
-
-
-class VerificationError(RuntimeError):
-    """A rank/achievability identity that must hold was violated."""

@@ -4,8 +4,9 @@ These deliberately avoid the code paths they validate: the mutual
 information oracle integrates with Gauss-Hermite quadrature instead of
 Monte Carlo, the density oracle sums over the 2-D alphabets instead of
 the library's separable I/Q rails, the rank oracle enumerates row
-subsets, and the lattice oracle enumerates allocation tables by brute
-force.
+subsets, the deterministic TIN-rate oracle shifts and concatenates
+generator matrices instead of packing one set of row words, and the
+lattice oracle enumerates allocation tables by brute force.
 """
 
 from __future__ import annotations
@@ -134,6 +135,30 @@ def rank_by_subsets(rows: list[list[int]]) -> int:
                 acc ^= wrd
         span.add(acc)
     return int(math.log2(len(span)))
+
+
+def det_mutual_info_concat(cfg, generators: dict, k: int, component: int) -> int:
+    """TIN rate of user k in one component: rank(all) - rank(interferers).
+
+    Each generator is shifted down by n[component] - n[user] as its own
+    matrix, the shifted matrices are concatenated column-wise in user
+    order, once with and once without user k, and both ranks are taken
+    by subset enumeration.
+    """
+    shifted = {
+        user: g.shifted_down(cfg.n[component] - cfg.n[user]) for user, g in generators.items()
+    }
+
+    def concat_rank(users) -> int:
+        mats = [shifted[u] for u in sorted(users)]
+        if not mats:
+            return 0
+        out = mats[0]
+        for m in mats[1:]:
+            out = out.hstack(m)
+        return rank_by_subsets(out.to_rows())
+
+    return concat_rank(shifted) - concat_rank(u for u in shifted if u != k)
 
 
 def enumerate_tables_brute(n: tuple[int, ...], even_only: bool) -> set:

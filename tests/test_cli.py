@@ -1,13 +1,19 @@
+import contextlib
+import io
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hetmac.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
+    EXIT_VIOLATION,
     load_scenario,
     main,
 )
@@ -17,7 +23,18 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 UPLINK = str(SCENARIOS / "two_user_uplink.yaml")
 WIDEBAND = str(SCENARIOS / "two_user_wideband.yaml")
 # `region` on UPLINK at --samples 10000 --seed 20240901, recorded with the 2-D density kernel
-GOLDEN_UPLINK = Path(__file__).resolve().parent / "data" / "two_user_uplink_s10000_seed20240901.csv"
+DATA = Path(__file__).resolve().parent / "data"
+GOLDEN_UPLINK = DATA / "two_user_uplink_s10000_seed20240901.csv"
+# user fields a scenario may get wrong, each with a value load_scenario must reject
+BAD_USER_SCALARS = {
+    "blocklength_abc": {"blocklength": "abc"},
+    "blocklength_fraction": {"blocklength": 128.5},
+    "target_eps_abc": {"target_eps": "abc"},
+    "snr_db_x": {"snr_db": "x"},
+    "snr_db_inf": {"snr_db": float("inf")},
+    "power_x": {"snr_db": None, "power": "x", "gain": 1.0},
+    "gain_pair_x": {"snr_db": None, "power": 16.0, "gain": ["x", 0.0]},
+}
 
 
 def write_scenario(tmp_path, payload, name="scenario.yaml"):
@@ -93,7 +110,10 @@ class TestScenarioLoading:
 
     @pytest.mark.parametrize(
         "case",
-        ["missing_file", "directory", "not_utf8", "malformed_yaml", "row_count", "too_many_allocations"],
+        [
+            "missing_file", "directory", "not_utf8", "malformed_yaml", "row_count",
+            "too_many_allocations", "seed_abc", *BAD_USER_SCALARS,
+        ],
     )
     @pytest.mark.parametrize("command", ["region", "det-verify"])
     def test_bad_input_exits_two_without_traceback(self, tmp_path, capsys, case, command):
@@ -108,6 +128,12 @@ class TestScenarioLoading:
         elif case == "malformed_yaml":
             path = str(tmp_path / "bad.yaml")
             Path(path).write_text("users: [\n  {snr_db: 24.0\n")
+        elif case == "seed_abc":
+            payload["estimator"]["seed"] = "abc"
+            path = write_scenario(tmp_path, payload)
+        elif case in BAD_USER_SCALARS:
+            payload["users"][1].update(BAD_USER_SCALARS[case])
+            path = write_scenario(tmp_path, payload)
         elif case == "row_count":
             payload["allocations"] = [{"id": "E", "m": [[4], [4, 4], [2, 2, 2]]}]
             path = write_scenario(tmp_path, payload)
@@ -218,6 +244,19 @@ class TestDetVerify:
         path = write_scenario(tmp_path, payload)
         assert main(["det-verify", "--scenario", path]) == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "scenario, golden, code",
+        [
+            (UPLINK, "two_user_uplink_detverify.txt", EXIT_OK),
+            (str(DATA / "three_user_detverify.yaml"), "three_user_detverify.txt", EXIT_INFEASIBLE),
+        ],
+    )
+    def test_golden_stdout_bytes(self, capsys, scenario, golden, code):
+        # pins every printed rate, and the witness stream through the
+        # VIOLATION lines a changed draw could bring
+        assert main(["det-verify", "--scenario", scenario]) == code
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
     def test_rank_violation_maps_to_exit_four(self, tmp_path, monkeypatch, capsys):
         import hetmac.cli as cli_mod
 
@@ -233,6 +272,83 @@ class TestDetVerify:
         path = write_scenario(tmp_path, base_payload())
         assert main(["det-verify", "--scenario", path]) == 4
         assert "VIOLATION" in capsys.readouterr().out
+
+
+_JUNK = ("abc", None, [1, 2], {"a": 1}, float("nan"), float("inf"))
+_RARELY = st.integers(0, 19).map(lambda i: i == 7)
+
+
+@st.composite
+def _scenario_mappings(draw):
+    """Scenario mappings, mostly well typed; a field is junk about one time in twenty.
+
+    SNRs stay below 7 dB (at most 2 bit levels), so even an enumerated
+    three-user det-verify checks only a few hundred allocations.
+    """
+
+    def field(good):
+        return draw(st.sampled_from(_JUNK)) if draw(_RARELY) else draw(good)
+
+    users = []
+    for _ in range(draw(st.integers(1, 3))):
+        user = {
+            "blocklength": field(st.sampled_from([128] * 8 + [64, 0])),
+            "target_eps": field(st.sampled_from([1e-5, 1e-3, 0.1] * 3 + [0.0, 1.5])),
+        }
+        if not draw(_RARELY):
+            user["snr_db"] = field(st.floats(-3.0, 6.0))
+        if draw(_RARELY) or "snr_db" not in user:
+            user["power"] = field(st.floats(0.5, 3.0))
+            user["gain"] = field(st.sampled_from([1.0, -1.2, [0.6, 0.8], ["x", 1]]))
+        users.append(user)
+    out = {"users": field(st.just(users))}
+    if draw(st.booleans()):
+        out["estimator"] = field(
+            st.fixed_dictionaries(
+                {},
+                optional={"samples": st.sampled_from([10_000, 5]), "seed": st.integers(-3, 2**40)},
+            )
+        )
+    if draw(st.booleans()):
+        out["flags"] = field(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "even_only": st.booleans(),
+                    "scheme_types": st.sampled_from(["1", "2", "both", "x"]),
+                    "selection_policy": st.sampled_from(["all", "max_min", "x"]),
+                },
+            )
+        )
+    if draw(st.booleans()):
+        allocations = []
+        for j in range(draw(st.integers(0, 3))):
+            rows = len(users) + draw(_RARELY)
+            entry = st.sampled_from([0, 2] * 5 + [1, 4, "x", -1])
+            m = [[draw(entry) for _ in range(k + 1)] for k in range(rows)]
+            alloc = {"id": f"a{j}", "m": field(st.just(m))}
+            if draw(st.booleans()):
+                alloc["scheme"] = draw(st.sampled_from([1, 2, 2, 3]))
+            allocations.append(alloc)
+        out["allocations"] = field(st.just(allocations))
+    if draw(_RARELY):
+        out["turbo"] = True
+    return out
+
+
+class TestClosedFailureSurface:
+    @given(_scenario_mappings())
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_det_verify_exit_code_without_traceback(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.yaml"
+            path.write_text(yaml.safe_dump(payload))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["det-verify", "--scenario", str(path)])
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VIOLATION)
+        if code == EXIT_CONFIG:
+            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
 
 
 class TestRegion:
