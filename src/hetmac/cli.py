@@ -294,13 +294,14 @@ def cmd_det_verify(scenario: Scenario, trials: int = 3) -> int:
     for alloc_id, alloc, _ in allocations:
         det = detmac.DetConfig(n=cfg.n, m=alloc.m)
         print(f"allocation {alloc_id}: m={alloc.m}")
-        for comp in detmac.verify_region(det):
+        comps = detmac.verify_region(det)
+        for comp in comps:
             mark = "ok" if comp.feasible else "INFEASIBLE"
             print(
                 f"  component {comp.component + 1}, users {comp.first_user + 1}..: "
                 f"load {comp.load} / capacity {comp.capacity} (slack {comp.slack}) {mark}"
             )
-        if not detmac.allocation_feasible(det):
+        if not all(comp.feasible for comp in comps):
             print("  infeasible allocation, skipping rank identities")
             status = max(status, EXIT_INFEASIBLE)
             continue

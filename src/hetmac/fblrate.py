@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Sequence
-
-from scipy.special import erfc, erfcinv
 
 from .config import ChannelConfig
 from .infodensity import LOG2_E, DensityStats, estimate_stats
@@ -28,17 +27,19 @@ BERRY_ESSEEN_C0 = 0.5600
 
 SQRT2 = math.sqrt(2.0)
 
+_STANDARD_NORMAL = NormalDist()
+
 
 def q_function(x: float) -> float:
     """Gaussian tail probability Q(x)."""
-    return 0.5 * erfc(x / SQRT2)
+    return 0.5 * math.erfc(x / SQRT2)
 
 
 def q_inv(p: float) -> float:
     """Inverse of the Gaussian tail probability, exact partner of q_function."""
     if not 0.0 < p < 1.0:
         raise ValueError("probability must lie strictly inside (0, 1)")
-    return SQRT2 * erfcinv(2.0 * p)
+    return -_STANDARD_NORMAL.inv_cdf(p)
 
 
 def _weighted_sums(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int):
@@ -50,12 +51,17 @@ def _weighted_sums(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int):
     return lengths, mi_sum, var_sum
 
 
-def fbl_rate(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float:
-    """Achievable rate of user k in bits/symbol (may be negative for tiny N)."""
-    lengths, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
+def _normal_approx_rate(cfg: ChannelConfig, k: int, mi_sum: float, var_sum: float) -> float:
+    """mi_sum / N_k - sqrt(var_sum) / N_k * Qinv(eps_k); no penalty without dispersion."""
     nk = cfg.N[k]
     penalty = math.sqrt(var_sum) / nk * q_inv(cfg.eps[k]) if var_sum > 0 else 0.0
     return mi_sum / nk - penalty
+
+
+def fbl_rate(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float:
+    """Achievable rate of user k in bits/symbol (may be negative for tiny N)."""
+    _, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
+    return _normal_approx_rate(cfg, k, mi_sum, var_sum)
 
 
 def epsilon_bound(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int, log_m: float) -> float:
@@ -150,9 +156,7 @@ def _gaussian_block_rate(
     lengths = cfg.subblock_lengths(k)
     mi_sum = sum(n * math.log2(1.0 + s) for n, s in zip(lengths, sinrs))
     var_sum = sum(n * gaussian_dispersion(s) for n, s in zip(lengths, sinrs))
-    nk = cfg.N[k]
-    penalty = math.sqrt(var_sum) / nk * q_inv(cfg.eps[k]) if var_sum > 0 else 0.0
-    return max(0.0, mi_sum / nk - penalty)
+    return max(0.0, _normal_approx_rate(cfg, k, mi_sum, var_sum))
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .config import ChannelConfig
 from .errors import EnumerationTooLargeError
 
 DEFAULT_ENUMERATION_CAP = 200_000
+
+
+def _order(v) -> int:
+    """An order as an int; a bool or a value int() would change is an error."""
+    if isinstance(v, bool) or int(v) != v:
+        raise ValueError(f"orders must be integers, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -22,7 +30,7 @@ class BitAllocation:
     scheme_type: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(tuple(int(v) for v in row) for row in self.m))
+        object.__setattr__(self, "m", tuple(tuple(_order(v) for v in row) for row in self.m))
         for k, row in enumerate(self.m):
             if len(row) != k + 1:
                 raise ValueError(f"row {k} must have {k + 1} entries")
@@ -43,7 +51,6 @@ def _component_tuples(
     n: Sequence[int], component: int, step: int
 ) -> Iterator[tuple[int, ...]]:
     """All (m_l, ..., m_{K-1}) meeting every tail-sum constraint of one component."""
-    K = len(n)
 
     # build from the weakest user upward so each prefix already satisfies
     # its own tail constraint sum_{i>=k} m_i <= n_k
@@ -55,10 +62,7 @@ def _component_tuples(
         for value in range(0, cap + 1, step):
             yield from build(pos - 1, (value,) + acc, tail + value)
 
-    if K - component <= 0:
-        yield ()
-        return
-    yield from build(K - 1, (), 0)
+    yield from build(len(n) - 1, (), 0)
 
 
 def enumerate_allocations(
@@ -75,25 +79,21 @@ def enumerate_allocations(
     n = cfg.n
     K = len(n)
     step = 2 if even_only else 1
-    per_component = [list(_component_tuples(n, l, step)) for l in range(K)]
-    total = math.prod(len(c) for c in per_component)
-    if total > cap:
-        raise EnumerationTooLargeError(f"{total} allocations exceed cap {cap}")
-
-    allocations = []
-
-    def assemble(l: int, chosen: list[tuple[int, ...]]):
-        if l == K:
-            m = tuple(
-                tuple(chosen[comp][k - comp] for comp in range(k + 1))
-                for k in range(K)
-            )
-            allocations.append(BitAllocation(m=m))
-            return
-        for tup in per_component[l]:
-            assemble(l + 1, chosen + [tup])
-
-    assemble(0, [])
+    per_component: list[list[tuple[int, ...]]] = []
+    total = 1
+    # weakest (smallest) components first, each listed only as far as the
+    # cap needs, so an oversized region stops after a few tuples
+    for l in reversed(range(K)):
+        per_component.insert(0, list(islice(_component_tuples(n, l, step), cap // total + 1)))
+        total *= len(per_component[0])
+        if total > cap:
+            raise EnumerationTooLargeError(f"more than {cap} allocations (the enumeration cap)")
+    allocations = [
+        BitAllocation(
+            m=tuple(tuple(chosen[comp][k - comp] for comp in range(k + 1)) for k in range(K))
+        )
+        for chosen in product(*per_component)
+    ]
     allocations.sort(key=lambda a: a.flat())
     return allocations
 

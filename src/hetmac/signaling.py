@@ -15,7 +15,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import detmac
 from .config import ChannelConfig
@@ -41,7 +40,7 @@ class Constellation:
     @classmethod
     def from_points(cls, points: np.ndarray) -> "Constellation":
         pts = np.unique(np.asarray(points, dtype=np.complex128))
-        dmin = min_point_distance(pts) if pts.size >= 2 else 0.0
+        dmin = min_distance(pts) if pts.size >= 2 else 0.0
         energy = float(np.mean(np.abs(pts) ** 2)) if pts.size else 0.0
         return cls(pts, int(pts.size), dmin, energy)
 
@@ -98,21 +97,30 @@ def regular_qam(order_bits: int, dmin: float) -> Constellation:
 
 
 def min_distance(c: Constellation | np.ndarray) -> float:
-    """Exact minimum pairwise Euclidean distance."""
+    """Exact minimum pairwise Euclidean distance; 0 when a point repeats.
+
+    When the distinct points are every pairing of their distinct real and
+    imaginary coordinates (an I/Q grid, as is every alphabet built here)
+    this is the smaller rail gap.  Any other set is swept in order of real
+    part: points s apart are compared for s = 1, 2, ... until the smallest
+    real-part gap at offset s reaches the best distance so far, which
+    bounds every pair further apart.
+    """
     pts = c.points if isinstance(c, Constellation) else np.asarray(c, dtype=np.complex128)
     if pts.size < 2:
         raise ValueError("need at least two points")
-    return min_point_distance(pts)
-
-
-def min_point_distance(pts: np.ndarray) -> float:
-    if pts.size <= 512:
-        d = np.abs(pts[:, None] - pts[None, :])
-        d[np.diag_indices(pts.size)] = np.inf
-        return float(d.min())
-    xy = np.column_stack([pts.real, pts.imag])
-    dist, _ = cKDTree(xy).query(xy, k=2)
-    return float(dist[:, 1].min())
+    distinct = np.unique(pts)  # sorted by real part, then imaginary part
+    if distinct.size < pts.size:
+        return 0.0
+    re, im = np.unique(distinct.real), np.unique(distinct.imag)
+    if re.size * im.size == distinct.size:
+        return float(min(np.diff(rail).min() for rail in (re, im) if rail.size > 1))
+    best = math.inf
+    for s in range(1, distinct.size):
+        if (distinct.real[s:] - distinct.real[:-s]).min() >= best:
+            break
+        best = min(best, float(np.abs(distinct[s:] - distinct[:-s]).min()))
+    return best
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@ information oracle integrates with Gauss-Hermite quadrature instead of
 Monte Carlo, the density oracle sums over the 2-D alphabets instead of
 the library's separable I/Q rails, the rank oracle enumerates row
 subsets, the deterministic TIN-rate oracle shifts and concatenates
-generator matrices instead of packing one set of row words, and the
-lattice oracle enumerates allocation tables by brute force.
+generator matrices instead of packing one set of row words, the
+lattice oracle enumerates allocation tables by brute force, and the
+distance oracle compares every pair of points.
 """
 
 from __future__ import annotations
@@ -185,6 +186,15 @@ def enumerate_tables_brute(n: tuple[int, ...], even_only: bool) -> set:
         if ok:
             tables.add(tuple(tuple(r) for r in m))
     return tables
+
+
+def min_distance_bruteforce(points) -> float:
+    """Smallest |p - q| over every pair of positions; 0 when a point repeats."""
+    pts = np.asarray(points, dtype=np.complex128)
+    best = math.inf
+    for i in range(pts.size - 1):
+        best = min(best, float(np.abs(pts[i + 1:] - pts[i]).min()))
+    return best
 
 
 def q_bisection(p: float) -> float:

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -112,7 +116,7 @@ class TestScenarioLoading:
         "case",
         [
             "missing_file", "directory", "not_utf8", "malformed_yaml", "row_count",
-            "too_many_allocations", "seed_abc", *BAD_USER_SCALARS,
+            "too_many_allocations", "seed_abc", "m_fraction", "m_bool", *BAD_USER_SCALARS,
         ],
     )
     @pytest.mark.parametrize("command", ["region", "det-verify"])
@@ -134,6 +138,12 @@ class TestScenarioLoading:
         elif case in BAD_USER_SCALARS:
             payload["users"][1].update(BAD_USER_SCALARS[case])
             path = write_scenario(tmp_path, payload)
+        elif case == "m_fraction":
+            payload["allocations"] = [{"id": "E", "m": [[4.7], [0, 4]]}]
+            path = write_scenario(tmp_path, payload)
+        elif case == "m_bool":
+            payload["allocations"] = [{"id": "E", "m": [[4], [False, 4]]}]
+            path = write_scenario(tmp_path, payload)
         elif case == "row_count":
             payload["allocations"] = [{"id": "E", "m": [[4], [4, 4], [2, 2, 2]]}]
             path = write_scenario(tmp_path, payload)
@@ -152,6 +162,29 @@ class TestScenarioLoading:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["region", "det-verify"])
+    def test_oversized_enumeration_stops_at_the_cap(self, tmp_path, capsys, command):
+        # levels 99/98/97/96: component 1 alone holds more than the 200,000-allocation cap
+        payload = base_payload()
+        del payload["allocations"]
+        payload["users"] = [
+            {"snr_db": snr, "blocklength": 128 + i, "target_eps": 1e-5}
+            for i, snr in enumerate((300.0, 297.0, 294.0, 291.0))
+        ]
+        argv = [command, "--scenario", write_scenario(tmp_path, payload)]
+        if command == "region":
+            argv += ["--out", str(tmp_path / "r.csv")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize(
         "command, even_only, expected",
@@ -257,6 +290,20 @@ class TestDetVerify:
         assert main(["det-verify", "--scenario", scenario]) == code
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
+    def test_one_region_check_per_allocation(self, monkeypatch, capsys):
+        import hetmac.cli as cli_mod
+
+        calls = []
+        true_verify = cli_mod.detmac.verify_region
+
+        def counting(det):
+            calls.append(det.m)
+            return true_verify(det)
+
+        monkeypatch.setattr(cli_mod.detmac, "verify_region", counting)
+        assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
+        assert len(calls) == 7
+
     def test_rank_violation_maps_to_exit_four(self, tmp_path, monkeypatch, capsys):
         import hetmac.cli as cli_mod
 
@@ -324,7 +371,7 @@ def _scenario_mappings(draw):
         allocations = []
         for j in range(draw(st.integers(0, 3))):
             rows = len(users) + draw(_RARELY)
-            entry = st.sampled_from([0, 2] * 5 + [1, 4, "x", -1])
+            entry = st.sampled_from([0, 2] * 5 + [1, 4, "x", -1, 2.5, True])
             m = [[draw(entry) for _ in range(k + 1)] for k in range(rows)]
             alloc = {"id": f"a{j}", "m": field(st.just(m))}
             if draw(st.booleans()):
@@ -528,3 +575,18 @@ class TestConstellationDump:
             ["constellation", "--scenario", UPLINK, "--alloc", "E", "--component", "5", "--out", str(out)]
         )
         assert code == EXIT_CONFIG
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is numpy, PyYAML and the standard library; scipy is a test dependency
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, hetmac.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"

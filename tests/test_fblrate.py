@@ -1,6 +1,9 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erfc, erfcinv
 
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.fblrate import (
@@ -55,6 +58,21 @@ class TestQInverse:
     def test_domain(self, p):
         with pytest.raises(ValueError):
             q_inv(p)
+
+    @given(
+        st.one_of(
+            st.floats(1e-15, 0.5),
+            st.floats(-15.0, math.log10(0.5)).map(lambda e: 10.0**e),
+        )
+    )
+    @settings(max_examples=300)
+    def test_matches_scipy_inverse(self, p):
+        assert q_inv(p) == pytest.approx(math.sqrt(2.0) * erfcinv(2.0 * p), rel=1e-12, abs=0.0)
+
+    @given(st.floats(0.0, 37.0))
+    @settings(max_examples=300)
+    def test_tail_matches_scipy(self, x):
+        assert q_function(x) == pytest.approx(0.5 * erfc(x / math.sqrt(2.0)), rel=1e-12, abs=0.0)
 
 
 class TestFblRate:

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import ConstellationTooLargeError, UnsupportedOrderError
@@ -18,6 +20,8 @@ from hetmac.signaling import (
     write_constellation_csv,
 )
 
+from oracles import min_distance_bruteforce
+
 SQRT3 = math.sqrt(3.0)
 
 
@@ -25,6 +29,42 @@ def two_user_cfg():
     return ChannelConfig.from_users(
         [UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)]
     )
+
+
+def _is_iq_product(pts: np.ndarray) -> bool:
+    """True when the distinct points are every (real, imaginary) pairing."""
+    distinct = np.unique(pts)
+    return np.unique(distinct.real).size * np.unique(distinct.imag).size == distinct.size
+
+
+_COORD = st.one_of(
+    st.integers(-6, 6).map(float),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    """Full I/Q grids, grids missing a point, scattered, collinear and
+    duplicate-holding sets of at least two points, in shuffled order."""
+    kind = draw(st.sampled_from(["grid", "holed", "scattered", "collinear", "duplicate"]))
+    if kind in ("grid", "holed"):
+        re = draw(st.lists(_COORD, min_size=2, max_size=12, unique=True))
+        im = draw(st.lists(_COORD, min_size=1 + (kind == "holed"), max_size=12, unique=True))
+        pts = (np.array(re)[None, :] + 1j * np.array(im)[:, None]).ravel()
+        if kind == "holed":
+            pts = np.delete(pts, draw(st.integers(0, pts.size - 1)))
+    elif kind == "collinear":
+        a = complex(draw(_COORD), draw(_COORD))
+        d = complex(draw(_COORD), draw(_COORD)) or 1.0
+        ts = draw(st.lists(_COORD, min_size=2, max_size=40, unique=True))
+        pts = a + np.array(ts) * d
+    else:
+        pairs = draw(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=60))
+        pts = np.array([complex(x, y) for x, y in pairs])
+        if kind == "duplicate":
+            pts = np.append(pts, pts[draw(st.integers(0, pts.size - 1))])
+    return pts[draw(st.permutations(range(pts.size)))]
 
 
 class TestRegularQam:
@@ -72,9 +112,17 @@ class TestMinDistance:
         with pytest.raises(ValueError):
             min_distance(np.array([1 + 1j]))
 
-    def test_large_set_uses_exact_tree_path(self):
-        c = regular_qam(12, 1.0)  # 4096 points, beyond the direct-pairwise cutoff
+    def test_large_grid_takes_rail_gaps(self):
+        c = regular_qam(12, 1.0)  # 4096 points, an I/Q grid
         assert min_distance(c) == pytest.approx(1.0)
+
+    def test_repeated_point_gives_zero(self):
+        assert min_distance(np.array([0.0, 1.0, 1j, 1.0])) == 0.0
+
+    @given(_point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_oracle_exactly(self, pts):
+        assert min_distance(pts) == min_distance_bruteforce(pts)
 
 
 class TestBuildScheme:
@@ -184,6 +232,17 @@ class TestSuperimpose:
         sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
         with pytest.raises(ConstellationTooLargeError):
             superimpose(sig, cfg, 0, point_cap=100)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
+    @settings(max_examples=60, deadline=None)
+    def test_built_alphabets_are_iq_products(self, seed, scheme_type):
+        # the min-distance rail-gap path relies on every alphabet being a grid
+        cfg, alloc = _random_even_scenario(random.Random(seed), max_total=12)
+        sig = build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=scheme_type))
+        for key, const in sig.constellations.items():
+            assert _is_iq_product(const.points), key
+        for l in range(cfg.users):
+            assert _is_iq_product(superimpose(sig, cfg, l).points), l
 
     @pytest.mark.parametrize("scheme_type", [1, 2])
     def test_randomized_distance_guarantee(self, scheme_type):
