@@ -52,7 +52,6 @@ from .signaling import (
     Constellation,
     SchemeSignaling,
     build_scheme,
-    min_distance,
     regular_qam,
     superimpose,
     verify_lemma2,

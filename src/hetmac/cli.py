@@ -157,7 +157,9 @@ def load_scenario(path: str) -> Scenario:
     flags = _mapping(raw.get("flags"), "flags")
     if flags:
         _reject_unknown(flags, _FLAG_KEYS, "flags")
-        scenario.even_only = bool(flags.get("even_only", True))
+        scenario.even_only = flags.get("even_only", True)
+        if not isinstance(scenario.even_only, bool):
+            raise ConfigError(f"flags.even_only must be true or false, got {scenario.even_only!r}")
         scenario.scheme_types = str(flags.get("scheme_types", "both"))
         scenario.selection_policy = str(flags.get("selection_policy", "all"))
         if scenario.scheme_types not in ("1", "2", "both"):
@@ -281,8 +283,11 @@ def cmd_region(scenario: Scenario, out_path: str, workers: int = 1) -> int:
         best = max(results, key=lambda r: (score(r.rates), r.alloc_id))
         lines.append(f"# selected alloc_id={best.alloc_id} scheme={best.scheme_label}")
     text = "\n".join(lines) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     print(f"wrote {len(results)} scheme rows to {out_path}")
     return EXIT_OK
 
@@ -373,7 +378,10 @@ def cmd_constellation(
     if not 1 <= component <= cfg.users:
         raise ConfigError(f"component must lie in 1..{cfg.users}")
     const = superimpose(sig, cfg, component - 1)
-    write_constellation_csv(const, out_path)
+    try:
+        write_constellation_csv(const, out_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
     print(
         f"wrote {const.cardinality} points (dmin={const.dmin:.6g}) to {out_path}"
     )

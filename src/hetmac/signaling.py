@@ -26,31 +26,41 @@ from .errors import (
 from .pipeline import BitAllocation
 
 DEFAULT_POINT_CAP = 1 << 20
+SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class Constellation:
-    """Finite set of complex points with its basic geometry."""
+    """Square I/Q grid: every point a + 1j * b with a and b on one rail.
 
-    points: np.ndarray
-    cardinality: int
-    dmin: float
-    avg_energy: float
+    Every alphabet of the layered scheme has this form (real gains on
+    Minkowski sums of square QAMs), so the grid is held by its rail: the
+    distinct levels in ascending order, built from a rail given with
+    multiplicity.
+    """
 
-    @classmethod
-    def from_points(cls, points: np.ndarray) -> "Constellation":
-        pts = np.unique(np.asarray(points, dtype=np.complex128))
-        dmin = min_distance(pts) if pts.size >= 2 else 0.0
-        energy = float(np.mean(np.abs(pts) ** 2)) if pts.size else 0.0
-        return cls(pts, int(pts.size), dmin, energy)
+    rail: np.ndarray
 
-    def scaled(self, factor: float) -> "Constellation":
-        return Constellation(
-            self.points * factor,
-            self.cardinality,
-            self.dmin * abs(factor),
-            self.avg_energy * factor * factor,
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "rail", np.unique(np.asarray(self.rail, dtype=np.float64)))
+
+    @property
+    def cardinality(self) -> int:
+        return self.rail.size**2
+
+    @property
+    def dmin(self) -> float:
+        """Exact minimum distance: the smallest rail gap; 0 for a single point."""
+        return float(np.diff(self.rail).min()) if self.rail.size > 1 else 0.0
+
+    @property
+    def avg_energy(self) -> float:
+        return 2.0 * float(np.mean(self.rail**2))
+
+    @property
+    def points(self) -> np.ndarray:
+        """The grid ordered by real part, then imaginary part."""
+        return (self.rail[:, None] + 1j * self.rail[None, :]).ravel()
 
 
 def pam_axis(order_bits: int, dmin: float) -> np.ndarray:
@@ -84,43 +94,13 @@ def minkowski_sum(sets: Iterable[np.ndarray], dtype=np.complex128) -> np.ndarray
 def regular_qam(order_bits: int, dmin: float) -> Constellation:
     """Square QAM with 2**order_bits points, zero mean, exact minimum distance.
 
-    Only even orders are supported (square grids, the 5G convention);
-    avg energy follows the closed form dmin^2 * (cardinality - 1) / 6.
+    Only even orders are supported (square grids, the 5G convention).
     """
     if order_bits < 2 or order_bits % 2 != 0:
         raise UnsupportedOrderError(f"order_bits must be even and >= 2, got {order_bits}")
     if dmin <= 0:
         raise ValueError("dmin must be positive")
-    cardinality = 1 << order_bits
-    energy = dmin * dmin * (cardinality - 1) / 6.0
-    return Constellation(iq_grid(pam_axis(order_bits, dmin)), cardinality, float(dmin), energy)
-
-
-def min_distance(c: Constellation | np.ndarray) -> float:
-    """Exact minimum pairwise Euclidean distance; 0 when a point repeats.
-
-    When the distinct points are every pairing of their distinct real and
-    imaginary coordinates (an I/Q grid, as is every alphabet built here)
-    this is the smaller rail gap.  Any other set is swept in order of real
-    part: points s apart are compared for s = 1, 2, ... until the smallest
-    real-part gap at offset s reaches the best distance so far, which
-    bounds every pair further apart.
-    """
-    pts = c.points if isinstance(c, Constellation) else np.asarray(c, dtype=np.complex128)
-    if pts.size < 2:
-        raise ValueError("need at least two points")
-    distinct = np.unique(pts)  # sorted by real part, then imaginary part
-    if distinct.size < pts.size:
-        return 0.0
-    re, im = np.unique(distinct.real), np.unique(distinct.imag)
-    if re.size * im.size == distinct.size:
-        return float(min(np.diff(rail).min() for rail in (re, im) if rail.size > 1))
-    best = math.inf
-    for s in range(1, distinct.size):
-        if (distinct.real[s:] - distinct.real[:-s]).min() >= best:
-            break
-        best = min(best, float(np.abs(distinct[s:] - distinct[:-s]).min()))
-    return best
+    return Constellation(pam_axis(order_bits, dmin))
 
 
 @dataclass(frozen=True)
@@ -161,9 +141,9 @@ class SchemeSignaling:
 
     @property
     def constellations(self) -> dict[tuple[int, int], Constellation]:
-        """Distinct transmit points with their geometry, per (user, sub-block);
-        a sub-block without bits is the single point at the origin."""
-        return {key: Constellation.from_points(self.transmit_points(*key)) for key in self.parts}
+        """Transmit alphabet per (user, sub-block) as an I/Q grid; a
+        sub-block without bits is the single point at the origin."""
+        return {key: Constellation(self.transmit_axis(*key)) for key in self.parts}
 
     def transmit_points(self, k: int, l: int) -> np.ndarray:
         """Symbol alphabet with multiplicity: Minkowski sum over the parts."""
@@ -280,17 +260,23 @@ def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
     )
 
 
+def _rails_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
+    """True when the I/Q grids on two sorted rails of equal size lie within
+    atol point for point: grid points differ by sqrt(2) times the largest
+    rail difference."""
+    return a.size == b.size and SQRT2 * float(np.abs(a - b).max()) <= atol
+
+
 def schemes_identical(a: SchemeSignaling, b: SchemeSignaling, rtol: float = 1e-9) -> bool:
-    """True when both schemes produce the same symbol alphabets everywhere."""
+    """True when both schemes produce the same symbol alphabets everywhere,
+    to rtol of the largest point modulus (at least 1)."""
     if set(a.parts) != set(b.parts):
         return False
     for key in a.parts:
-        pa = np.sort_complex(a.transmit_points(*key))
-        pb = np.sort_complex(b.transmit_points(*key))
-        if pa.size != pb.size:
-            return False
-        scale = max(1.0, float(np.abs(pa).max()))
-        if not np.allclose(pa, pb, rtol=0.0, atol=rtol * scale):
+        ra = np.sort(a.transmit_axis(*key))
+        rb = np.sort(b.transmit_axis(*key))
+        atol = rtol * max(1.0, SQRT2 * float(np.abs(ra).max()))
+        if not _rails_close(ra, rb, atol):
             return False
     return True
 
@@ -316,10 +302,11 @@ def superimpose(
             raise ConstellationTooLargeError(
                 f"superimposed cardinality exceeds cap {point_cap}"
             )
-    pts = minkowski_sum(
-        sig.transmit_points(k, component) * cfg.h[k] for k in range(component, cfg.users)
+    rail = minkowski_sum(
+        (sig.transmit_axis(k, component) * cfg.h[k] for k in range(component, cfg.users)),
+        np.float64,
     )
-    return Constellation.from_points(pts)
+    return Constellation(rail)
 
 
 @dataclass(frozen=True)
@@ -353,26 +340,22 @@ def verify_lemma2(orders: list[int], delta: float, budget_bits: int = 16) -> Lad
     layers = []
     cum = 0
     for order in orders:
-        layers.append(regular_qam(order, delta).points * 2.0 ** (cum / 2.0))
+        layers.append(pam_axis(order, delta) * 2.0 ** (cum / 2.0))
         cum += order
-    built = Constellation.from_points(minkowski_sum(layers))
-    reference = regular_qam(total, delta)
+    built = Constellation(minkowski_sum(layers, np.float64))
     tol = delta * 1e-9
     cardinality_ok = built.cardinality == (1 << total)
     dmin_ok = abs(built.dmin - delta) <= tol
-    zero_mean_ok = abs(np.mean(built.points)) <= max(tol, 1e-12)
-    grid_ok = cardinality_ok and bool(
-        np.allclose(
-            np.sort_complex(built.points), np.sort_complex(reference.points),
-            rtol=0.0, atol=tol,
-        )
-    )
+    # the grid's mean is mean(rail) * (1 + 1j)
+    zero_mean_ok = SQRT2 * abs(float(np.mean(built.rail))) <= max(tol, 1e-12)
+    grid_ok = cardinality_ok and _rails_close(built.rail, regular_qam(total, delta).rail, tol)
     return LadderVerdict(cardinality_ok, dmin_ok, zero_mean_ok, grid_ok, built)
 
 
 def write_constellation_csv(c: Constellation, path) -> None:
-    """Dump points as 're,im' lines for external plotting."""
+    """Dump the points as 're,im' lines, in Constellation.points order, for
+    external plotting."""
+    levels = [f"{v:.12g}" for v in c.rail]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("re,im\n")
-        for p in c.points:
-            fh.write(f"{p.real:.12g},{p.imag:.12g}\n")
+        fh.writelines(f"{re},{im}\n" for re in levels for im in levels)

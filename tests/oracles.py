@@ -6,8 +6,10 @@ Monte Carlo, the density oracle sums over the 2-D alphabets instead of
 the library's separable I/Q rails, the rank oracle enumerates row
 subsets, the deterministic TIN-rate oracle shifts and concatenates
 generator matrices instead of packing one set of row words, the
-lattice oracle enumerates allocation tables by brute force, and the
-distance oracle compares every pair of points.
+lattice oracle enumerates allocation tables by brute force, the
+distance oracle compares every pair of points, and the constellation
+oracles sort and compare 2-D complex points instead of the library's
+1-D rails.
 """
 
 from __future__ import annotations
@@ -195,6 +197,27 @@ def min_distance_bruteforce(points) -> float:
     for i in range(pts.size - 1):
         best = min(best, float(np.abs(pts[i + 1:] - pts[i]).min()))
     return best
+
+
+def constellation_points_2d(points) -> np.ndarray:
+    """Distinct complex points, sorted by real part, then imaginary part."""
+    return np.unique(np.asarray(points, dtype=np.complex128))
+
+
+def schemes_identical_2d(a, b, rtol: float = 1e-9) -> bool:
+    """Same alphabets everywhere: sorted 2-D transmit points within rtol of
+    the largest modulus (at least 1), point for point."""
+    if set(a.parts) != set(b.parts):
+        return False
+    for key in a.parts:
+        pa = np.sort_complex(a.transmit_points(*key))
+        pb = np.sort_complex(b.transmit_points(*key))
+        if pa.size != pb.size:
+            return False
+        scale = max(1.0, float(np.abs(pa).max()))
+        if not np.allclose(pa, pb, rtol=0.0, atol=rtol * scale):
+            return False
+    return True
 
 
 def q_bisection(p: float) -> float:

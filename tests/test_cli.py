@@ -116,7 +116,8 @@ class TestScenarioLoading:
         "case",
         [
             "missing_file", "directory", "not_utf8", "malformed_yaml", "row_count",
-            "too_many_allocations", "seed_abc", "m_fraction", "m_bool", *BAD_USER_SCALARS,
+            "too_many_allocations", "seed_abc", "m_fraction", "m_bool", "even_only_string",
+            "even_only_int", *BAD_USER_SCALARS,
         ],
     )
     @pytest.mark.parametrize("command", ["region", "det-verify"])
@@ -141,6 +142,9 @@ class TestScenarioLoading:
         elif case == "m_fraction":
             payload["allocations"] = [{"id": "E", "m": [[4.7], [0, 4]]}]
             path = write_scenario(tmp_path, payload)
+        elif case in ("even_only_string", "even_only_int"):
+            payload["flags"] = {"even_only": "false" if case == "even_only_string" else 0}
+            path = write_scenario(tmp_path, payload)
         elif case == "m_bool":
             payload["allocations"] = [{"id": "E", "m": [[4], [False, 4]]}]
             path = write_scenario(tmp_path, payload)
@@ -162,6 +166,20 @@ class TestScenarioLoading:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["region", "--samples", "10000"],
+            ["constellation", "--alloc", "E", "--component", "1"],
+        ],
+    )
+    def test_unwritable_output_exits_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "absent" / "x.csv"
+        code = main([*argv, "--scenario", UPLINK, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write {out}: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["region", "det-verify"])
     def test_oversized_enumeration_stops_at_the_cap(self, tmp_path, capsys, command):
@@ -361,7 +379,7 @@ def _scenario_mappings(draw):
             st.fixed_dictionaries(
                 {},
                 optional={
-                    "even_only": st.booleans(),
+                    "even_only": st.sampled_from([True, False, "false"]),
                     "scheme_types": st.sampled_from(["1", "2", "both", "x"]),
                     "selection_policy": st.sampled_from(["all", "max_min", "x"]),
                 },
@@ -383,19 +401,49 @@ def _scenario_mappings(draw):
     return out
 
 
+def _run_quietly(payload, argv, out=None):
+    """Exit code and stderr of main on argv plus --scenario naming payload as
+    YAML and, when out is given, --out naming a file of that name beside it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.yaml"
+        path.write_text(yaml.safe_dump(payload))
+        argv = [*argv, "--scenario", str(path)]
+        if out:
+            argv += ["--out", str(Path(tmp) / out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    return code, stderr.getvalue()
+
+
 class TestClosedFailureSurface:
     @given(_scenario_mappings())
     @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_det_verify_exit_code_without_traceback(self, payload):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "scenario.yaml"
-            path.write_text(yaml.safe_dump(payload))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["det-verify", "--scenario", str(path)])
+        code, err = _run_quietly(payload, ["det-verify"])
         assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VIOLATION)
         if code == EXIT_CONFIG:
-            assert err.getvalue().startswith("config error: ") and err.getvalue().count("\n") == 1
+            assert err.startswith("config error: ") and err.count("\n") == 1
+
+    @given(_scenario_mappings(), st.data())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_qam_commands_exit_code_without_traceback(self, payload, data):
+        command = data.draw(st.sampled_from(["region", "codeparams", "constellation"]))
+        # alloc_0 is the first enumerated allocation, a0 the first named one
+        alloc = data.draw(st.sampled_from(["alloc_0", "a0"]))
+        argv = {
+            "region": ["region"],
+            "codeparams": ["codeparams", "--alloc", alloc],
+            "constellation": ["constellation", "--alloc", alloc, "--component", "1"],
+        }[command]
+        if command != "constellation":
+            argv += ["--samples", data.draw(st.sampled_from(["10000", "10000", "5"]))]
+            if data.draw(st.booleans()):
+                argv += ["--seed", str(data.draw(st.integers(-3, 2**40)))]
+        code, err = _run_quietly(payload, argv, out=None if command == "codeparams" else "o.csv")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_VIOLATION)
+        if code == EXIT_CONFIG:
+            assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 class TestRegion:

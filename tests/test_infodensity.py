@@ -271,7 +271,7 @@ class TestSumConstellation:
         # the fully loaded ladder collapses to a scaled regular 256-QAM,
         # so a single-part alphabet reproduces the sum distribution exactly
         part = ScaledPart(8, sup.dmin)
-        const = Constellation.from_points(part.points())
+        const = Constellation(part.axis())
         assert np.allclose(
             np.sort_complex(const.points), np.sort_complex(sup.points), rtol=1e-9
         )

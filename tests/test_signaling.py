@@ -12,7 +12,7 @@ from hetmac.pipeline import BitAllocation
 from hetmac.signaling import (
     Constellation,
     build_scheme,
-    min_distance,
+    minkowski_sum,
     regular_qam,
     schemes_identical,
     superimpose,
@@ -20,7 +20,7 @@ from hetmac.signaling import (
     write_constellation_csv,
 )
 
-from oracles import min_distance_bruteforce
+import oracles
 
 SQRT3 = math.sqrt(3.0)
 
@@ -35,36 +35,6 @@ def _is_iq_product(pts: np.ndarray) -> bool:
     """True when the distinct points are every (real, imaginary) pairing."""
     distinct = np.unique(pts)
     return np.unique(distinct.real).size * np.unique(distinct.imag).size == distinct.size
-
-
-_COORD = st.one_of(
-    st.integers(-6, 6).map(float),
-    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
-)
-
-
-@st.composite
-def _point_sets(draw):
-    """Full I/Q grids, grids missing a point, scattered, collinear and
-    duplicate-holding sets of at least two points, in shuffled order."""
-    kind = draw(st.sampled_from(["grid", "holed", "scattered", "collinear", "duplicate"]))
-    if kind in ("grid", "holed"):
-        re = draw(st.lists(_COORD, min_size=2, max_size=12, unique=True))
-        im = draw(st.lists(_COORD, min_size=1 + (kind == "holed"), max_size=12, unique=True))
-        pts = (np.array(re)[None, :] + 1j * np.array(im)[:, None]).ravel()
-        if kind == "holed":
-            pts = np.delete(pts, draw(st.integers(0, pts.size - 1)))
-    elif kind == "collinear":
-        a = complex(draw(_COORD), draw(_COORD))
-        d = complex(draw(_COORD), draw(_COORD)) or 1.0
-        ts = draw(st.lists(_COORD, min_size=2, max_size=40, unique=True))
-        pts = a + np.array(ts) * d
-    else:
-        pairs = draw(st.lists(st.tuples(_COORD, _COORD), min_size=2, max_size=60))
-        pts = np.array([complex(x, y) for x, y in pairs])
-        if kind == "duplicate":
-            pts = np.append(pts, pts[draw(st.integers(0, pts.size - 1))])
-    return pts[draw(st.permutations(range(pts.size)))]
 
 
 class TestRegularQam:
@@ -84,7 +54,7 @@ class TestRegularQam:
     @pytest.mark.parametrize("order", [2, 4, 6, 8])
     def test_energy_formula_and_dmin(self, order):
         c = regular_qam(order, 0.7)
-        assert min_distance(c) == pytest.approx(0.7)
+        assert c.dmin == pytest.approx(0.7)
         assert c.avg_energy == pytest.approx(
             np.mean(np.abs(c.points) ** 2), rel=1e-12
         )
@@ -98,31 +68,17 @@ class TestRegularQam:
 
 class TestMinDistance:
     def test_qpsk(self):
-        assert min_distance(regular_qam(2, 1.0)) == pytest.approx(1.0)
+        assert regular_qam(2, 1.0).dmin == pytest.approx(1.0)
 
     def test_two_layer_ladder_keeps_unit_distance(self):
-        base = regular_qam(2, 1.0).points
-        ladder = (base[:, None] + 2.0 * base[None, :]).ravel()
-        assert min_distance(ladder) == pytest.approx(1.0)
-
-    def test_scaled_16qam(self):
-        assert min_distance(regular_qam(4, 1.0).scaled(3.0)) == pytest.approx(3.0)
-
-    def test_needs_two_points(self):
-        with pytest.raises(ValueError):
-            min_distance(np.array([1 + 1j]))
+        base = regular_qam(2, 1.0).rail
+        ladder = Constellation((base[:, None] + 2.0 * base[None, :]).ravel())
+        assert ladder.cardinality == 16
+        assert ladder.dmin == pytest.approx(1.0)
 
     def test_large_grid_takes_rail_gaps(self):
         c = regular_qam(12, 1.0)  # 4096 points, an I/Q grid
-        assert min_distance(c) == pytest.approx(1.0)
-
-    def test_repeated_point_gives_zero(self):
-        assert min_distance(np.array([0.0, 1.0, 1j, 1.0])) == 0.0
-
-    @given(_point_sets())
-    @settings(max_examples=300, deadline=None)
-    def test_matches_pairwise_oracle_exactly(self, pts):
-        assert min_distance(pts) == min_distance_bruteforce(pts)
+        assert c.dmin == pytest.approx(1.0)
 
 
 class TestBuildScheme:
@@ -209,7 +165,7 @@ class TestSuperimpose:
         sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
         sup = superimpose(sig, cfg, 0)
         assert sup.cardinality == 256
-        assert min_distance(sup) >= SQRT3 - 1e-9
+        assert sup.dmin >= SQRT3 - 1e-9
 
     def test_single_user_component(self):
         cfg = two_user_cfg()
@@ -236,13 +192,14 @@ class TestSuperimpose:
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
     def test_built_alphabets_are_iq_products(self, seed, scheme_type):
-        # the min-distance rail-gap path relies on every alphabet being a grid
+        # Constellation holds an alphabet by its rail, which needs every
+        # 2-D alphabet to be a grid
         cfg, alloc = _random_even_scenario(random.Random(seed), max_total=12)
         sig = build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=scheme_type))
-        for key, const in sig.constellations.items():
-            assert _is_iq_product(const.points), key
+        for key in sig.parts:
+            assert _is_iq_product(sig.transmit_points(*key)), key
         for l in range(cfg.users):
-            assert _is_iq_product(superimpose(sig, cfg, l).points), l
+            assert _is_iq_product(_receive_points_2d(sig, cfg, l)), l
 
     @pytest.mark.parametrize("scheme_type", [1, 2])
     def test_randomized_distance_guarantee(self, scheme_type):
@@ -258,6 +215,32 @@ class TestSuperimpose:
                 sup = superimpose(sig, cfg, l)
                 if sup.cardinality >= 2:
                     assert sup.dmin >= SQRT3 - 1e-9
+
+
+class TestRailConstellations:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rails_match_2d_geometry(self, seed):
+        cfg, alloc = _random_even_scenario(random.Random(seed), max_total=12)
+        s1, s2 = (
+            build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=t)) for t in (1, 2)
+        )
+        for sig in (s1, s2):
+            pairs = [(sig.constellations[key], sig.transmit_points(*key)) for key in sig.parts]
+            pairs += [
+                (superimpose(sig, cfg, l), _receive_points_2d(sig, cfg, l))
+                for l in range(cfg.users)
+            ]
+            for const, pts in pairs:
+                expected = oracles.constellation_points_2d(pts)
+                assert np.array_equal(const.points.view(np.float64), expected.view(np.float64))
+                assert const.cardinality == expected.size
+                if 2 <= expected.size <= 4096:
+                    assert const.dmin == oracles.min_distance_bruteforce(expected)
+                assert const.avg_energy == pytest.approx(
+                    np.mean(np.abs(expected) ** 2), rel=1e-12
+                )
+        assert schemes_identical(s1, s2) == oracles.schemes_identical_2d(s1, s2)
 
 
 class TestLemma2:
@@ -291,6 +274,11 @@ def test_csv_export(tmp_path):
     assert len(lines) == 5
     values = {tuple(float(x) for x in ln.split(",")) for ln in lines[1:]}
     assert (0.5, 0.5) in values
+
+
+def _receive_points_2d(sig, cfg, l):
+    """2-D receive alphabet of component l with multiplicity."""
+    return minkowski_sum(sig.transmit_points(k, l) * cfg.h[k] for k in range(l, cfg.users))
 
 
 def _random_even_scenario(rng: random.Random, max_total: int = 12, tight: bool = False,
