@@ -24,7 +24,6 @@ from .fblrate import (
     berry_esseen_constant,
     build_rate_report,
     epsilon_bound,
-    evaluate_scheme,
     fbl_rate,
     gaussian_sic_region,
     gaussian_tin_rates,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field, replace
@@ -30,12 +31,7 @@ from .errors import (
     InfeasibleAllocationError,
     UnsupportedOrderError,
 )
-from .fblrate import (
-    evaluate_scheme,
-    gaussian_sic_region,
-    gaussian_tin_rates,
-    rate_region_sweep,
-)
+from .fblrate import gaussian_sic_region, gaussian_tin_rates, rate_region_sweep
 from .infodensity import MIN_SAMPLES
 from .pipeline import BitAllocation, enumerate_allocations, select_code_params
 from .signaling import build_scheme, superimpose, write_constellation_csv
@@ -224,21 +220,29 @@ def _benchmark_row(cfg: ChannelConfig, row_type: str, row_id: str, rates) -> str
     return ",".join([row_type, row_id, "", ""] + rates + [""] * (2 * cfg.users + 2))
 
 
+def _claim_output(path: str) -> bool:
+    """Check that path can be written, leaving any existing bytes as they
+    are; True when this call created the (empty) file."""
+    created = not os.path.exists(path)
+    try:
+        open(path, "a", encoding="utf-8").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    return created
+
+
 def cmd_region(scenario: Scenario, out_path: str, workers: int = 1) -> int:
     cfg = scenario.channel()
     allocations = _scenario_allocations(scenario, cfg)
-    results = []
-    for alloc_id, alloc, pinned in allocations:
-        results.extend(
-            rate_region_sweep(
-                cfg,
-                [(alloc_id, alloc)],
-                samples=scenario.samples,
-                seed=scenario.seed,
-                scheme_types=pinned or scenario.scheme_types,
-                workers=workers,
-            )
+    created = _claim_output(out_path)
+    try:
+        results = rate_region_sweep(
+            cfg, allocations, scenario.samples, scenario.seed, scenario.scheme_types, workers
         )
+    except BaseException:
+        if created:
+            os.remove(out_path)
+        raise
     K = cfg.users
     lines = [
         f"# {CSV_SCHEMA}",
@@ -338,10 +342,13 @@ def cmd_det_verify(scenario: Scenario, trials: int = 3) -> int:
     return status
 
 
-def _find_alloc(scenario: Scenario, cfg: ChannelConfig, alloc_id: str) -> BitAllocation:
+def _find_alloc(
+    scenario: Scenario, cfg: ChannelConfig, alloc_id: str, scheme_type: int | None
+) -> BitAllocation:
+    """The allocation named alloc_id, under scheme_type when one is given."""
     for aid, alloc, _ in _scenario_allocations(scenario, cfg):
         if aid == alloc_id:
-            return alloc
+            return alloc if scheme_type is None else replace(alloc, scheme_type=scheme_type)
     raise ConfigError(f"unknown allocation id {alloc_id!r}")
 
 
@@ -349,15 +356,12 @@ def cmd_codeparams(
     scenario: Scenario, alloc_id: str, scheme_type: int | None, workers: int = 1
 ) -> int:
     cfg = scenario.channel()
-    alloc = _find_alloc(scenario, cfg, alloc_id)
-    if scheme_type is not None:
-        alloc = replace(alloc, scheme_type=scheme_type)
-    scheme_type = alloc.scheme_type
-    sig = build_scheme(cfg, alloc)
-    reports = evaluate_scheme(cfg, sig, scenario.samples, scenario.seed, workers)
-    params = select_code_params(cfg, alloc, [r.rate for r in reports])
-    print(f"allocation {alloc_id} scheme {scheme_type}")
-    for entry, report in zip(params.entries, reports):
+    alloc = _find_alloc(scenario, cfg, alloc_id, scheme_type)
+    pinned = [(alloc_id, alloc, str(alloc.scheme_type))]
+    (result,) = rate_region_sweep(cfg, pinned, scenario.samples, scenario.seed, workers=workers)
+    params = select_code_params(cfg, alloc, result.rates)
+    print(f"allocation {alloc_id} scheme {alloc.scheme_type}")
+    for entry, report in zip(params.entries, result.reports):
         label = cfg.order[entry.user] + 1
         note = "  (degenerate)" if entry.degenerate else ""
         print(
@@ -371,10 +375,7 @@ def cmd_constellation(
     scenario: Scenario, alloc_id: str, component: int, out_path: str, scheme_type: int | None
 ) -> int:
     cfg = scenario.channel()
-    alloc = _find_alloc(scenario, cfg, alloc_id)
-    if scheme_type is not None:
-        alloc = replace(alloc, scheme_type=scheme_type)
-    sig = build_scheme(cfg, alloc)
+    sig = build_scheme(cfg, _find_alloc(scenario, cfg, alloc_id, scheme_type))
     if not 1 <= component <= cfg.users:
         raise ConfigError(f"component must lie in 1..{cfg.users}")
     const = superimpose(sig, cfg, component - 1)

@@ -18,7 +18,7 @@ from statistics import NormalDist
 from typing import Sequence
 
 from .config import ChannelConfig
-from .infodensity import LOG2_E, DensityStats, estimate_stats
+from .infodensity import LOG2_E, DensityStats, estimate_stats, tin_sinr
 from .pipeline import BitAllocation
 from .signaling import SchemeSignaling, build_scheme, schemes_identical
 
@@ -51,17 +51,13 @@ def _weighted_sums(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int):
     return lengths, mi_sum, var_sum
 
 
-def _normal_approx_rate(cfg: ChannelConfig, k: int, mi_sum: float, var_sum: float) -> float:
-    """mi_sum / N_k - sqrt(var_sum) / N_k * Qinv(eps_k); no penalty without dispersion."""
+def fbl_rate(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float:
+    """Achievable rate of user k in bits/symbol (may be negative for tiny N);
+    no second-order penalty without dispersion."""
+    _, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
     nk = cfg.N[k]
     penalty = math.sqrt(var_sum) / nk * q_inv(cfg.eps[k]) if var_sum > 0 else 0.0
     return mi_sum / nk - penalty
-
-
-def fbl_rate(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float:
-    """Achievable rate of user k in bits/symbol (may be negative for tiny N)."""
-    _, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
-    return _normal_approx_rate(cfg, k, mi_sum, var_sum)
 
 
 def epsilon_bound(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int, log_m: float) -> float:
@@ -153,10 +149,8 @@ def _gaussian_block_rate(
     cfg: ChannelConfig, k: int, sinrs: Sequence[float]
 ) -> float:
     """Normal approximation across sub-blocks with Gaussian inputs."""
-    lengths = cfg.subblock_lengths(k)
-    mi_sum = sum(n * math.log2(1.0 + s) for n, s in zip(lengths, sinrs))
-    var_sum = sum(n * gaussian_dispersion(s) for n, s in zip(lengths, sinrs))
-    return max(0.0, _normal_approx_rate(cfg, k, mi_sum, var_sum))
+    stats = [DensityStats(math.log2(1.0 + s), gaussian_dispersion(s), 0.0, 0.0, 0) for s in sinrs]
+    return max(0.0, fbl_rate(cfg, stats, k))
 
 
 @dataclass(frozen=True)
@@ -213,15 +207,15 @@ def gaussian_sic_region(cfg: ChannelConfig) -> BenchmarkRegion:
 
     Corner a: the strong user is decoded after cancelling the weak one;
     corner b: the other way around.  The weak user's later sub-block is
-    interference-free either way.  Axis points complete the hull.
+    interference-free either way, so each user decoded first gets its
+    Gaussian TIN rate.  Axis points complete the hull.
     """
     if cfg.users != 2:
         raise ValueError("benchmark region is only defined for two users")
     s1, s2 = cfg.snr
     r1_clean = _gaussian_block_rate(cfg, 0, [s1])
-    r1_interf = _gaussian_block_rate(cfg, 0, [s1 / (1.0 + s2)])
     r2_clean = _gaussian_block_rate(cfg, 1, [s2, s2])
-    r2_interf = _gaussian_block_rate(cfg, 1, [s2 / (1.0 + s1), s2])
+    r1_interf, r2_interf = gaussian_tin_rates(cfg)
     corners = (
         (r1_clean, 0.0),
         (r1_clean, r2_interf),
@@ -234,15 +228,10 @@ def gaussian_sic_region(cfg: ChannelConfig) -> BenchmarkRegion:
 
 def gaussian_tin_rates(cfg: ChannelConfig) -> list[float]:
     """Per-user rates when everyone uses Gaussian inputs and TIN decoding."""
-    out = []
-    for k in range(cfg.users):
-        sinrs = [
-            cfg.snr[k]
-            / (1.0 + sum(cfg.snr[i] for i in range(l, cfg.users) if i != k))
-            for l in range(k + 1)
-        ]
-        out.append(_gaussian_block_rate(cfg, k, sinrs))
-    return out
+    return [
+        _gaussian_block_rate(cfg, k, [tin_sinr(cfg, k, l) for l in range(k + 1)])
+        for k in range(cfg.users)
+    ]
 
 
 @dataclass(frozen=True)
@@ -260,41 +249,9 @@ class SweepResult:
         return tuple(r.rate for r in self.reports)
 
 
-def _task_seed(seed: int, k: int, l: int) -> int:
-    # common random numbers across allocations: streams keyed by (user, sub-block)
-    return (seed * 0x9E3779B9 + k * 65537 + l * 257) & 0x7FFFFFFFFFFFFFFF
-
-
-def evaluate_scheme(
-    cfg: ChannelConfig,
-    sig: SchemeSignaling,
-    samples: int,
-    seed: int,
-    workers: int = 1,
-) -> tuple[RateReport, ...]:
-    """Estimate all sub-block stats of a scheme and build per-user reports."""
-    reports = []
-    for k in range(cfg.users):
-        stats = []
-        for l in range(k + 1):
-            if not sig.parts[(k, l)]:
-                stats.append(DensityStats.zeros())
-                continue
-            stats.append(
-                estimate_stats(
-                    cfg, sig, k, l,
-                    samples=samples,
-                    seed=_task_seed(seed, k, l),
-                    workers=workers,
-                )
-            )
-        reports.append(build_rate_report(cfg, stats, k))
-    return tuple(reports)
-
-
 def rate_region_sweep(
     cfg: ChannelConfig,
-    allocations: Sequence[tuple[str, BitAllocation]],
+    allocations: Sequence[tuple[str, BitAllocation, str | None]],
     samples: int = 200_000,
     seed: int = 0,
     scheme_types: str = "both",
@@ -302,29 +259,27 @@ def rate_region_sweep(
 ) -> list[SweepResult]:
     """Evaluate labelled allocations; emit both layerings where they differ.
 
-    allocations holds (id, BitAllocation) pairs.  With scheme_types
-    'both', an allocation whose two layerings yield identical signaling
-    is reported once with label '1&2'.
+    allocations holds (id, BitAllocation, pinned) triples; a pinned "1"
+    or "2" replaces scheme_types for that allocation, and None keeps it.
+    With 'both', an allocation whose two layerings yield identical
+    signaling is reported once with label '1&2'.
     """
-    wanted = {"1": (1,), "2": (2,), "both": (1, 2)}[scheme_types]
     results = []
-    for alloc_id, alloc in allocations:
-        variants: list[tuple[str, SchemeSignaling]] = []
+    for alloc_id, alloc, pinned in allocations:
+        wanted = {"1": (1,), "2": (2,), "both": (1, 2)}[pinned or scheme_types]
         built = {t: build_scheme(cfg, replace(alloc, scheme_type=t)) for t in wanted}
         if len(wanted) == 2 and schemes_identical(built[1], built[2]):
-            variants.append(("1&2", built[1]))
+            variants = [("1&2", built[1])]
         else:
-            variants.extend((str(t), built[t]) for t in wanted)
+            variants = [(str(t), built[t]) for t in wanted]
         for label, sig in variants:
-            reports = evaluate_scheme(cfg, sig, samples, seed, workers)
-            results.append(
-                SweepResult(
-                    alloc_id=alloc_id,
-                    scheme_label=label,
-                    alloc=alloc,
-                    signaling=sig,
-                    reports=reports,
+            reports = tuple(
+                build_rate_report(
+                    cfg,
+                    [estimate_stats(cfg, sig, k, l, samples, seed, workers) for l in range(k + 1)],
+                    k,
                 )
+                for k in range(cfg.users)
             )
+            results.append(SweepResult(alloc_id, label, alloc, sig, reports))
     return results
-

@@ -28,12 +28,12 @@ i_1 being the same density on R and V.  A sample costs 2 |R| |V| kernel
 cells instead of |A_k| |W| = |R|^2 |V|^2.
 
 Sampling is organized in fixed-size chunks (_CHUNK samples), each
-driven by its own counter-based Philox stream keyed on (seed, chunk
-index), so results are bit-identical no matter how chunks are scheduled
-across workers.  A chunk draws the sent point and the interferer point
-as flat indices into the 2-D Minkowski-ordered alphabets and reads their
-coordinates off the rails, so each received sample is bit for bit the
-2-D sum.
+driven by its own counter-based Philox stream keyed on (task seed, chunk
+index), the task seed being _task_seed(seed, k, l), so results are
+bit-identical no matter how chunks are scheduled across workers.  A
+chunk draws the sent point and the interferer point as flat indices into
+the 2-D Minkowski-ordered alphabets and reads their coordinates off the
+rails, so each received sample is bit for bit the 2-D sum.
 """
 
 from __future__ import annotations
@@ -45,10 +45,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ChannelConfig
-from .errors import ConstellationTooLargeError
 from .signaling import (
     DEFAULT_POINT_CAP,
     SchemeSignaling,
+    check_component_size,
     iq_indices,
     minkowski_sum,
 )
@@ -77,9 +77,12 @@ class DensityStats:
         return cls(0.0, 0.0, 0.0, 0.0, 0)
 
 
-def _receive_tables(
-    cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int, point_cap: int
-) -> tuple:
+def _task_seed(seed: int, k: int, l: int) -> int:
+    # common random numbers across allocations: streams keyed by (user, sub-block)
+    return (seed * 0x9E3779B9 + k * 65537 + l * 257) & 0x7FFFFFFFFFFFFFFF
+
+
+def _receive_tables(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) -> tuple:
     """(own, w, own_parts, w_parts): one rail of user k's received alphabet
     and of its interferer multiset in sub-block l.
 
@@ -87,21 +90,14 @@ def _receive_tables(
     interferers' h-scaled transmit axes, both with multiplicity and in
     Minkowski order; the 2-D alphabets are own x own and w x w, and the
     part tuples locate a 2-D flat index on the rails (iq_indices).  The
-    cap bounds the 2-D count |A| * |W|.
+    2-D count |A| * |W| is component l's superimposed cardinality, so the
+    size cap is superimpose's.
     """
-    own = sig.transmit_axis(k, l) * cfg.h[k]
+    check_component_size(sig, cfg, l, DEFAULT_POINT_CAP)
     interferers = [i for i in range(l, cfg.users) if i != k]
-    rails = []
-    total = own.size**2
-    for i in interferers:
-        rails.append(sig.transmit_axis(i, l) * cfg.h[i])
-        total *= rails[-1].size ** 2
-        if total > point_cap:
-            raise ConstellationTooLargeError(
-                f"density sum would cover {total} points, cap is {point_cap}"
-            )
+    w = minkowski_sum((sig.transmit_axis(i, l) * cfg.h[i] for i in interferers), np.float64)
     w_parts = tuple(part for i in interferers for part in sig.parts[(i, l)])
-    return own, minkowski_sum(rails, np.float64), sig.parts[(k, l)], w_parts
+    return sig.transmit_axis(k, l) * cfg.h[k], w, sig.parts[(k, l)], w_parts
 
 
 _EVAL_BUDGET = 1 << 22  # max temporary size (rail samples x rail alphabet x rail interferers)
@@ -138,14 +134,13 @@ def information_density(
     k: int,
     l: int,
     x_k: complex,
-    point_cap: int = DEFAULT_POINT_CAP,
 ) -> float:
     """Density of one received value given the transmitted point x_k.
 
     x_k is a point of user k's sub-block alphabet (transmit side, before
     the channel gain).
     """
-    own, w, _, _ = _receive_tables(cfg, sig, k, l, point_cap)
+    own, w, _, _ = _receive_tables(cfg, sig, k, l)
     sent = complex(x_k) * cfg.h[k]
     x = np.array([[np.argmin(np.abs(own - sent.real))], [np.argmin(np.abs(own - sent.imag))]])
     if abs(complex(*own[x[:, 0]]) - sent) > 1e-9 * max(1.0, float(np.abs(own).max())):
@@ -174,11 +169,6 @@ def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.nd
     return y, x
 
 
-def _chunk_samples(seed: int, chunk: int, count: int, tables: tuple) -> np.ndarray:
-    y, x = _chunk_draw(seed, chunk, count, tables)
-    return _density(y, x, tables[0], tables[1])
-
-
 def estimate_stats(
     cfg: ChannelConfig,
     sig: SchemeSignaling,
@@ -187,23 +177,32 @@ def estimate_stats(
     samples: int = 200_000,
     seed: int = 0,
     workers: int = 1,
-    point_cap: int = DEFAULT_POINT_CAP,
 ) -> DensityStats:
     """Monte Carlo moments of the density for user k in sub-block l.
 
-    Deterministic for a fixed seed regardless of the worker count; the
-    noise has unit variance per complex sample, the SNR being carried
-    entirely by the scaled constellations and channel gains.
+    Chunk c draws from the Philox stream keyed (_task_seed(seed, k, l), c),
+    so the result is the one `hetmac region` reports at this seed, at any
+    worker count.  A sub-block without bits has all-zero stats and
+    samples 0.  The noise has unit variance per complex sample, the SNR
+    being carried entirely by the scaled constellations and channel gains.
     """
+    if not sig.parts[(k, l)]:
+        return DensityStats.zeros()
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for stable moments")
-    tables = _receive_tables(cfg, sig, k, l, point_cap)
-    chunks = [(c, min(_CHUNK, samples - c * _CHUNK)) for c in range((samples + _CHUNK - 1) // _CHUNK)]
+    tables = _receive_tables(cfg, sig, k, l)
+    task = _task_seed(seed, k, l)
+
+    def chunk(c: int) -> np.ndarray:
+        y, x = _chunk_draw(task, c, min(_CHUNK, samples - c * _CHUNK), tables)
+        return _density(y, x, tables[0], tables[1])
+
+    chunks = range((samples + _CHUNK - 1) // _CHUNK)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda cc: _chunk_samples(seed, cc[0], cc[1], tables), chunks))
+            parts = list(pool.map(chunk, chunks))
     else:
-        parts = [_chunk_samples(seed, c, n, tables) for c, n in chunks]
+        parts = [chunk(c) for c in chunks]
     dens = np.concatenate(parts)
     mi = float(dens.mean())
     centered = dens - mi
@@ -223,7 +222,11 @@ def mi_lower_bound(alloc, k: int, l: int) -> float:
     return max(0.0, alloc.m[k][l] - MI_GAP_BITS)
 
 
+def tin_sinr(cfg: ChannelConfig, k: int, l: int) -> float:
+    """SINR of user k in sub-block l with the other users there treated as noise."""
+    return cfg.snr[k] / (1.0 + sum(cfg.snr[i] for i in range(l, cfg.users) if i != k))
+
+
 def gaussian_tin_mi(cfg: ChannelConfig, k: int, l: int) -> float:
     """TIN rate of Gaussian signaling: log2(1 + SNR_k / (1 + interferer SNRs))."""
-    interference = sum(cfg.snr[i] for i in range(l, cfg.users) if i != k)
-    return math.log2(1.0 + cfg.snr[k] / (1.0 + interference))
+    return math.log2(1.0 + tin_sinr(cfg, k, l))

@@ -281,6 +281,14 @@ def schemes_identical(a: SchemeSignaling, b: SchemeSignaling, rtol: float = 1e-9
     return True
 
 
+def check_component_size(sig: SchemeSignaling, cfg: ChannelConfig, l: int, cap: int) -> None:
+    """Raise ConstellationTooLargeError when component l's superimposed
+    receive alphabet, prod_{k >= l} 2**bits(k, l) points with multiplicity,
+    exceeds cap."""
+    if 1 << sum(p.order_bits for k in range(l, cfg.users) for p in sig.parts[(k, l)]) > cap:
+        raise ConstellationTooLargeError(f"superimposed cardinality exceeds cap {cap}")
+
+
 def superimpose(
     sig: SchemeSignaling,
     cfg: ChannelConfig,
@@ -295,13 +303,7 @@ def superimpose(
     """
     if not 0 <= component < cfg.users:
         raise ValueError("component out of range")
-    total = 1
-    for k in range(component, cfg.users):
-        total *= 1 << sum(p.order_bits for p in sig.parts[(k, component)])
-        if total > point_cap:
-            raise ConstellationTooLargeError(
-                f"superimposed cardinality exceeds cap {point_cap}"
-            )
+    check_component_size(sig, cfg, component, point_cap)
     rail = minkowski_sum(
         (sig.transmit_axis(k, component) * cfg.h[k] for k in range(component, cfg.users)),
         np.float64,

@@ -60,7 +60,7 @@ def sweep(cfg_ref):
         scheme = str(scheme_type) if name in ("C", "D") else "both"
         rows = rate_region_sweep(
             cfg_ref,
-            [(name, BitAllocation(m=m))],
+            [(name, BitAllocation(m=m), None)],
             samples=200_000,
             seed=20240901,
             scheme_types=scheme,

@@ -573,6 +573,45 @@ class TestRegion:
         last = out.read_text().splitlines()[-1]
         assert last.startswith("# selected alloc_id=E")
 
+    def test_unwritable_output_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        import hetmac.fblrate as fblrate_mod
+
+        calls = []
+        monkeypatch.setattr(fblrate_mod, "estimate_stats", lambda *a, **kw: calls.append(a))
+        out = tmp_path / "absent" / "x.csv"
+        assert main(["region", "--scenario", UPLINK, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
+        assert calls == []
+
+    @pytest.mark.parametrize("existing", [b"earlier bytes\n", None])
+    def test_infeasible_run_leaves_output_as_found(self, tmp_path, capsys, existing):
+        payload = base_payload()
+        payload["allocations"] = [{"id": "X", "m": [[8], [2, 4]]}]
+        out = tmp_path / "r.csv"
+        if existing is not None:
+            out.write_bytes(existing)
+        argv = ["region", "--scenario", write_scenario(tmp_path, payload), "--out", str(out)]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert (out.read_bytes() if out.exists() else None) == existing
+
+
+def test_component_cap_gives_one_message_everywhere(tmp_path, capsys):
+    # 66 / 6 dB, m = [[20], [2, 2]]: component 1 holds 2**22 points, over the 2**20 cap
+    payload = base_payload()
+    payload["users"][0]["snr_db"], payload["users"][1]["snr_db"] = 66.0, 6.0
+    payload["allocations"] = [{"id": "X", "m": [[20], [2, 2]]}]
+    path = write_scenario(tmp_path, payload)
+    errors = []
+    for argv in (
+        ["region", "--out", str(tmp_path / "r.csv")],
+        ["codeparams", "--alloc", "X"],
+        ["constellation", "--alloc", "X", "--component", "1", "--out", str(tmp_path / "p.csv")],
+    ):
+        assert main([*argv, "--scenario", path]) == EXIT_VIOLATION
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: superimposed cardinality exceeds cap 1048576\n"] * 3
+    assert not (tmp_path / "r.csv").exists()
+
 
 class TestCodeparams:
     def test_reference_codeword_lengths(self, tmp_path, capsys):

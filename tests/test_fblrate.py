@@ -272,8 +272,8 @@ class TestSweep:
     def test_sweep_merges_identical_layerings(self):
         cfg = two_user()
         allocs = [
-            ("E", BitAllocation(m=((4,), (4, 4)))),
-            ("C", BitAllocation(m=((6,), (2, 4)))),
+            ("E", BitAllocation(m=((4,), (4, 4))), None),
+            ("C", BitAllocation(m=((6,), (2, 4))), None),
         ]
         results = rate_region_sweep(cfg, allocs, samples=10_000, seed=3)
         labels = {(r.alloc_id, r.scheme_label) for r in results}
@@ -286,7 +286,27 @@ class TestSweep:
     def test_silent_user_has_zero_rate(self):
         cfg = two_user()
         results = rate_region_sweep(
-            cfg, [("G", BitAllocation(m=((0,), (4, 4))))], samples=10_000, seed=3
+            cfg, [("G", BitAllocation(m=((0,), (4, 4))), None)], samples=10_000, seed=3
         )
         assert results[0].reports[0].rate == 0.0
         assert results[0].reports[0].weighted_mi == 0.0
+
+    def test_pinned_scheme_replaces_scheme_types(self):
+        cfg = two_user()
+        alloc = BitAllocation(m=((6,), (2, 4)))
+        results = rate_region_sweep(
+            cfg, [("C", alloc, "2"), ("D", alloc, None)], samples=10_000, seed=3, scheme_types="1"
+        )
+        assert [(r.alloc_id, r.scheme_label) for r in results] == [("C", "2"), ("D", "1")]
+
+    def test_reports_hold_the_library_estimates(self):
+        # estimate_stats at the sweep's seed reproduces the sweep bit for bit
+        cfg = two_user()
+        for res in rate_region_sweep(
+            cfg, [("C", BitAllocation(m=((6,), (2, 4))), "2")], samples=10_000, seed=3
+        ):
+            for k, rep in enumerate(res.reports):
+                assert rep.stats == tuple(
+                    estimate_stats(cfg, res.signaling, k, l, samples=10_000, seed=3)
+                    for l in range(k + 1)
+                )

@@ -9,6 +9,7 @@ from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import UnsupportedOrderError
 from hetmac.infodensity import (
     MI_GAP_BITS,
+    DensityStats,
     estimate_stats,
     gaussian_tin_mi,
     information_density,
@@ -92,7 +93,7 @@ class TestInformationDensity:
             [UserSpec(24.0, 100, 1e-5), UserSpec(18.0, 150, 1e-5), UserSpec(12.0, 200, 1e-5)]
         )
         sig = build_scheme(cfg, BitAllocation(m=((2,), (2, 2), (2, 2, 2))))
-        own, w, _, _ = _receive_tables(cfg, sig, 0, 0, 1 << 20)
+        own, w, _, _ = _receive_tables(cfg, sig, 0, 0)
         rng = np.random.default_rng(4)
         y = rng.standard_normal((2, 64)) * 3.0  # (re, im) rails
         xi = rng.integers(0, own.size, (2, 64))
@@ -143,7 +144,7 @@ def density_cases(draw):
 
 
 def assert_matches_bruteforce_2d(cfg, sig, k, l, seed, chunk, noise_scale):
-    tables = _receive_tables(cfg, sig, k, l, 1 << 20)
+    tables = _receive_tables(cfg, sig, k, l)
     own, w, own_parts, w_parts = tables
     own2d, w2d = receive_alphabets_2d(cfg, sig, k, l)
     # the rails are the real and imaginary parts of the 2-D alphabets, to the bit
@@ -238,6 +239,13 @@ class TestEstimateStats:
         a = estimate_stats(cfg, sig, 0, 0, samples=50_000, seed=1)
         b = estimate_stats(cfg, sig, 0, 0, samples=50_000, seed=2)
         assert abs(a.mi - b.mi) < 4 * math.hypot(a.std_error, b.std_error)
+
+    def test_silent_subblock_has_zero_stats(self):
+        cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
+        sig = build_scheme(cfg, BitAllocation(m=((0,), (4, 4))))
+        stats = estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=1)
+        assert stats == DensityStats(0.0, 0.0, 0.0, 0.0, 0)
+        assert stats.samples == 0
 
     def test_sample_floor(self):
         cfg, sig = qpsk_scheme(10.0)
