@@ -81,10 +81,10 @@ def _mapping(raw, where: str) -> dict:
 
 
 def _number(raw, where: str, kind: type = float):
-    """raw converted by kind (int or float); anything else, infinities and
-    fractions where an int is wanted are config errors."""
+    """raw converted by kind (int or float); anything else, booleans,
+    infinities and fractions where an int is wanted are config errors."""
     try:
-        value = kind(raw)
+        value = None if isinstance(raw, bool) else kind(raw)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None or not math.isfinite(value) or isinstance(raw, float) and value != raw:

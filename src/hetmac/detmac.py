@@ -215,9 +215,10 @@ def component_layout(
     the occupied depths are the deepest ones.  scheme_type 2 anchors
     each user at its own ceiling: a block that fits the exclusive slot
     between the user's ceiling and the next user's sits flush at the
-    slot's bottom edge; overflow spills into the shallowest depths the
-    weaker users have left free.  Both rules keep all windows disjoint
-    for every allocation meeting the tail-sum constraints.
+    slot's bottom edge; overflow spills into the shallowest depths below
+    the slot that the weaker users have left free, each run of
+    consecutive depths its own window.  Both rules keep all windows
+    disjoint for every allocation meeting the tail-sum constraints.
     """
     K = len(n)
     nl = n[component]
@@ -241,44 +242,25 @@ def component_layout(
 
     if scheme_type != 2:
         raise ValueError("scheme_type must be 1 or 2")
-    taken = [False] * (nl + 1)  # taken[d] marks depth d in 1..nl
+    taken: set[int] = set()
     for k in range(K - 1, component - 1, -1):
-        m = mm[k]
-        if m == 0:
-            out[k] = []
-            continue
-        ceiling = nl - n[k]
-        fragments: list[tuple[int, int]] = []
-        if k == K - 1:
-            slot_end = min(ceiling + m, nl)
-            a = slot_end - ceiling
-        else:
-            slot_end = nl - n[k + 1]
-            a = min(m, slot_end - ceiling)
-        if a > 0:
-            for d in range(slot_end - a + 1, slot_end + 1):
-                taken[d] = True
-            fragments.append((slot_end - a, slot_end))
-        rest = m - a
-        run_start = None
-        d = slot_end + 1
-        while rest > 0 and d <= nl:
-            if not taken[d]:
-                taken[d] = True
-                if run_start is None:
-                    run_start = d - 1
-                rest -= 1
-                if rest == 0:
-                    fragments.append((run_start, d))
-            elif run_start is not None:
-                fragments.append((run_start, d - 1))
-                run_start = None
-            d += 1
-        if rest > 0:
+        m, ceiling = mm[k], nl - n[k]
+        slot_end = min(ceiling + m, nl) if k == K - 1 else nl - n[k + 1]
+        a = min(m, slot_end - ceiling)
+        spill = [d for d in range(slot_end + 1, nl + 1) if d not in taken][: m - a]
+        if len(spill) < m - a:
             raise InfeasibleAllocationError(
-                f"component {component}: no room for user {k}'s {mm[k]} bits"
+                f"component {component}: no room for user {k}'s {m} bits"
             )
-        out[k] = sorted(fragments)
+        taken.update(range(slot_end - a + 1, slot_end + 1), spill)
+        # each run of consecutive spill depths is its own window, never merged with the slot
+        runs: list[tuple[int, int]] = []
+        for d in spill:
+            if runs and runs[-1][1] == d - 1:
+                runs[-1] = (runs[-1][0], d)
+            else:
+                runs.append((d - 1, d))
+        out[k] = ([(slot_end - a, slot_end)] if a > 0 else []) + runs
     return out
 
 

@@ -100,31 +100,29 @@ def _receive_tables(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) ->
     return sig.transmit_axis(k, l) * cfg.h[k], w, sig.parts[(k, l)], w_parts
 
 
-_EVAL_BUDGET = 1 << 22  # max temporary size (rail samples x rail alphabet x rail interferers)
-
-
 def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Density in bits of one rail: real samples y, sent rail indices x_idx."""
+    """Density in bits of one rail: real samples y, sent rail indices x_idx.
+
+    All samples are evaluated in one pass through one temporary of
+    y.size * |R| * |V| values.  check_component_size keeps |R|^2 |V|^2
+    within 2^20, so |R| |V| <= 2^10, and a call sees at most _CHUNK = 2^12
+    samples: the temporary holds at most 2^22 values, and it is the only
+    one of that size alive.
+    """
     grid = own[:, None] + w[None, :]  # received rail points, multiplicity kept
-    out = np.empty(y.size)
-    step = max(1, _EVAL_BUDGET // grid.size)
-    for s in range(0, y.size, step):
-        rows = slice(s, min(s + step, y.size))
-        # ex[j, a, b] = exp(-(y_j - own_a - w_b)^2), max-shifted before exponentiating
-        ex = y[rows, None, None] - grid[None, :, :]
-        ex *= ex
-        ex -= ex.min(axis=(1, 2), keepdims=True)
-        np.exp(np.negative(ex, out=ex), out=ex)
-        num = ex[np.arange(ex.shape[0]), x_idx[rows], :].sum(axis=1)
-        den = ex.sum(axis=(1, 2)) / own.size
-        out[rows] = np.log2(num / den)
-    return out
+    # ex[j, a, b] = exp(-(y_j - own_a - w_b)^2), max-shifted before exponentiating
+    ex = y[:, None, None] - grid[None, :, :]
+    ex *= ex
+    ex -= ex.min(axis=(1, 2), keepdims=True)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    num = ex[np.arange(y.size), x_idx, :].sum(axis=1)
+    den = ex.sum(axis=(1, 2)) / own.size
+    return np.log2(num / den)
 
 
 def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Density in bits, i_re + i_im, of rails y[(re, im), j] with sent rail indices x."""
-    rails = _density_1d(y.ravel(), x.ravel(), own, w).reshape(y.shape)
-    return rails[0] + rails[1]
+    return _density_1d(y[0], x[0], own, w) + _density_1d(y[1], x[1], own, w)
 
 
 def information_density(

@@ -177,35 +177,6 @@ def iq_indices(flat: np.ndarray, parts: Sequence[ScaledPart]) -> tuple[np.ndarra
     return re, im
 
 
-def _part_layout(
-    cfg: ChannelConfig, m: tuple[tuple[int, ...], ...], k: int, l: int, scheme_type: int
-) -> tuple[tuple[int, float], ...]:
-    """(order_bits, level_exponent) for each QAM part of user k, sub-block l.
-
-    Each part corresponds to one depth window of the layered-model
-    placement; its exponent counts the bit levels below the window, with
-    the user's own integer level replaced by the exact log2(SNR_k).
-    Every window must hold an even number of bits so the part is a
-    square QAM; odd windows (possible only for scheme 2 with odd level
-    gaps and three or more users) are rejected.
-    """
-    mk = m[k][l]
-    if mk == 0:
-        return ()
-    m_col = [m[i][l] for i in range(l, cfg.users)]
-    fragments = detmac.component_layout(cfg.n, m_col, l, scheme_type)[k]
-    base = cfg.n[l] - math.log2(cfg.snr[k])
-    parts = []
-    for start, end in fragments:
-        order = end - start
-        if order % 2 != 0:
-            raise UnsupportedOrderError(
-                f"user {k}, sub-block {l}: layered window of {order} bits has no square QAM"
-            )
-        parts.append((order, base + (cfg.n[l] - end)))
-    return tuple(parts)
-
-
 def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
     """Translate a feasible bit allocation into scaled QAM signaling.
 
@@ -221,40 +192,43 @@ def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
                 f"load {comp.load} exceeds level {comp.capacity}"
             )
 
-    parts_pre: dict[tuple[int, int], tuple[tuple[int, float], ...]] = {}
-    energies: dict[tuple[int, int], float] = {}
-    for k in range(K):
-        for l in range(k + 1):
-            layout = _part_layout(cfg, m, k, l, alloc.scheme_type)
-            parts_pre[(k, l)] = layout
-            energies[(k, l)] = sum(
-                2.0**e * ((1 << order) - 1) / 6.0 for order, e in layout
-            )
-
-    eta = []
-    for l in range(K):
-        peak = max(energies[(k, l)] for k in range(l, K))
-        eta.append(1.0 / math.sqrt(peak) if peak > 0 else 1.0)
+    layouts = [
+        detmac.component_layout(cfg.n, [m[i][l] for i in range(l, K)], l, alloc.scheme_type)
+        for l in range(K)
+    ]
+    # (order_bits, level_exponent) per QAM part: one part per depth window
+    # (start, end], its exponent counting the bit levels below the window
+    # with the user's own integer level replaced by the exact log2(SNR_k)
+    parts_pre = {(k, l): [] for k in range(K) for l in range(k + 1)}
+    for (k, l), layout in parts_pre.items():
+        for start, end in layouts[l][k]:
+            order = end - start
+            if order % 2 != 0:  # possible only for scheme 2 with odd level gaps
+                raise UnsupportedOrderError(
+                    f"user {k}, sub-block {l}: layered window of {order} bits has no square QAM"
+                )
+            layout.append((order, (cfg.n[l] - math.log2(cfg.snr[k])) + (cfg.n[l] - end)))
+    energies = {
+        key: sum(2.0**e * ((1 << order) - 1) / 6.0 for order, e in layout)
+        for key, layout in parts_pre.items()
+    }
+    peaks = [max(energies[(k, l)] for k in range(l, K)) for l in range(K)]
+    eta = tuple(1.0 / math.sqrt(peak) if peak > 0 else 1.0 for peak in peaks)
 
     parts: dict[tuple[int, int], tuple[ScaledPart, ...]] = {}
     zeta: dict[tuple[int, int], float] = {}
-    active = [any(v > 0 for v in m[k]) for k in range(K)]
-    for k in range(K):
-        for l in range(k + 1):
-            amp = eta[l] * math.sqrt(cfg.P[k])
-            parts[(k, l)] = tuple(
-                ScaledPart(order, amp * 2.0 ** (e / 2.0)) for order, e in parts_pre[(k, l)]
-            )
-            if not parts[(k, l)]:
-                zeta[(k, l)] = 1.0 if active[k] else 0.0
-                continue
-            peak = max(energies[(i, l)] for i in range(l, K))
-            zeta[(k, l)] = energies[(k, l)] / peak
+    for (k, l), layout in parts_pre.items():
+        amp = eta[l] * math.sqrt(cfg.P[k])
+        parts[(k, l)] = tuple(ScaledPart(order, amp * 2.0 ** (e / 2.0)) for order, e in layout)
+        if layout:
+            zeta[(k, l)] = energies[(k, l)] / peaks[l]
+        else:
+            zeta[(k, l)] = 1.0 if any(m[k]) else 0.0
 
     return SchemeSignaling(
         scheme_type=alloc.scheme_type,
         parts=parts,
-        eta=tuple(eta),
+        eta=eta,
         energies=energies,
         zeta=zeta,
     )

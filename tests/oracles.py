@@ -4,12 +4,12 @@ These deliberately avoid the code paths they validate: the mutual
 information oracle integrates with Gauss-Hermite quadrature instead of
 Monte Carlo, the density oracle sums over the 2-D alphabets instead of
 the library's separable I/Q rails, the rank oracle enumerates row
-subsets, the deterministic TIN-rate oracle shifts and concatenates
-generator matrices instead of packing one set of row words, the
-lattice oracle enumerates allocation tables by brute force, the
-distance oracle compares every pair of points, and the constellation
-oracles sort and compare 2-D complex points instead of the library's
-1-D rails.
+subsets, the scheme-2 layout oracle walks one depth at a time, the
+deterministic TIN-rate oracle shifts and concatenates generator
+matrices instead of packing one set of row words, the lattice oracle
+enumerates allocation tables by brute force, the distance oracle
+compares every pair of points, and the constellation oracles sort and
+compare 2-D complex points instead of the library's 1-D rails.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
+
+from hetmac.errors import InfeasibleAllocationError
 
 
 def density_moments_quadrature(points: np.ndarray, nodes: int = 64):
@@ -162,6 +164,58 @@ def det_mutual_info_concat(cfg, generators: dict, k: int, component: int) -> int
         return rank_by_subsets(out.to_rows())
 
     return concat_rank(shifted) - concat_rank(u for u in shifted if u != k)
+
+
+def component_layout_depthwise(n, m_col, component: int) -> dict:
+    """Scheme-2 depth windows of one component, walking one depth at a time.
+
+    The reference for detmac.component_layout(..., scheme_type=2): each
+    user, weakest first, fills its exclusive slot flush at the bottom,
+    then marks the shallowest free depths below the slot one by one,
+    closing a window whenever a taken depth interrupts the run.
+    """
+    K = len(n)
+    nl = n[component]
+    taken = [False] * (nl + 1)  # taken[d] marks depth d in 1..nl
+    out = {}
+    for k in range(K - 1, component - 1, -1):
+        m = m_col[k - component]
+        if m == 0:
+            out[k] = []
+            continue
+        ceiling = nl - n[k]
+        fragments = []
+        if k == K - 1:
+            slot_end = min(ceiling + m, nl)
+            a = slot_end - ceiling
+        else:
+            slot_end = nl - n[k + 1]
+            a = min(m, slot_end - ceiling)
+        if a > 0:
+            for d in range(slot_end - a + 1, slot_end + 1):
+                taken[d] = True
+            fragments.append((slot_end - a, slot_end))
+        rest = m - a
+        run_start = None
+        d = slot_end + 1
+        while rest > 0 and d <= nl:
+            if not taken[d]:
+                taken[d] = True
+                if run_start is None:
+                    run_start = d - 1
+                rest -= 1
+                if rest == 0:
+                    fragments.append((run_start, d))
+            elif run_start is not None:
+                fragments.append((run_start, d - 1))
+                run_start = None
+            d += 1
+        if rest > 0:
+            raise InfeasibleAllocationError(
+                f"component {component}: no room for user {k}'s {m} bits"
+            )
+        out[k] = sorted(fragments)
+    return out
 
 
 def enumerate_tables_brute(n: tuple[int, ...], even_only: bool) -> set:

@@ -38,6 +38,12 @@ BAD_USER_SCALARS = {
     "snr_db_inf": {"snr_db": float("inf")},
     "power_x": {"snr_db": None, "power": "x", "gain": 1.0},
     "gain_pair_x": {"snr_db": None, "power": 16.0, "gain": ["x", 0.0]},
+    # YAML booleans are not numbers: true must not load as 1
+    # at 30 dB this user sorts first, so a blocklength of 1 would pass the order check
+    "blocklength_bool": {"snr_db": 30.0, "blocklength": True},
+    "snr_db_bool": {"snr_db": True},
+    "power_bool": {"snr_db": None, "power": True, "gain": 1.0},
+    "gain_bool": {"snr_db": None, "power": 16.0, "gain": True},
 }
 
 
@@ -116,8 +122,8 @@ class TestScenarioLoading:
         "case",
         [
             "missing_file", "directory", "not_utf8", "malformed_yaml", "row_count",
-            "too_many_allocations", "seed_abc", "m_fraction", "m_bool", "even_only_string",
-            "even_only_int", *BAD_USER_SCALARS,
+            "too_many_allocations", "seed_abc", "seed_bool", "m_fraction", "m_bool",
+            "even_only_string", "even_only_int", *BAD_USER_SCALARS,
         ],
     )
     @pytest.mark.parametrize("command", ["region", "det-verify"])
@@ -133,8 +139,8 @@ class TestScenarioLoading:
         elif case == "malformed_yaml":
             path = str(tmp_path / "bad.yaml")
             Path(path).write_text("users: [\n  {snr_db: 24.0\n")
-        elif case == "seed_abc":
-            payload["estimator"]["seed"] = "abc"
+        elif case in ("seed_abc", "seed_bool"):
+            payload["estimator"]["seed"] = "abc" if case == "seed_abc" else True
             path = write_scenario(tmp_path, payload)
         elif case in BAD_USER_SCALARS:
             payload["users"][1].update(BAD_USER_SCALARS[case])

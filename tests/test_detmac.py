@@ -22,7 +22,12 @@ from hetmac.detmac import (
 )
 from hetmac.errors import InfeasibleAllocationError
 
-from oracles import det_mutual_info_concat, enumerate_tables_brute, rank_by_subsets
+from oracles import (
+    component_layout_depthwise,
+    det_mutual_info_concat,
+    enumerate_tables_brute,
+    rank_by_subsets,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -298,6 +303,35 @@ class TestLayout:
                             assert not depths & seen
                             seen |= depths
                         assert sum(e - s for s, e in frags) == cfg.m[k][l]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_scheme2_matches_depthwise_oracle(self, data):
+        # det-verify's ranks depend on which depths a user takes, not on how
+        # they group into windows; the windows are the QAM parts, so check them
+        users = data.draw(st.integers(1, 4))
+        n = sorted(data.draw(st.lists(st.integers(0, 10), min_size=users, max_size=users)),
+                   reverse=True)
+        l = data.draw(st.integers(0, users - 1))
+        m_col = data.draw(st.lists(st.integers(0, 10), min_size=users - l, max_size=users - l))
+
+        def outcome(layout, *args):
+            try:
+                return layout(*args)
+            except InfeasibleAllocationError as exc:
+                return str(exc)
+
+        assert outcome(component_layout, n, m_col, l, 2) == outcome(
+            component_layout_depthwise, n, m_col, l
+        )
+
+    def test_spill_run_is_not_merged_into_the_slot(self):
+        # user 1 fills its slot (0, 2] and spills to depth 3, right below the slot
+        assert component_layout((6, 4), [4, 0], 0, 2) == {1: [], 0: [(0, 2), (2, 4)]}
+        # users 1 and 2 hold depths 7..9, which split user 0's spill into two runs
+        assert component_layout((10, 6, 2), [7, 2, 1], 0, 2) == {
+            2: [(8, 9)], 1: [(6, 8)], 0: [(0, 4), (4, 6), (9, 10)]
+        }
 
 
 def _random_feasible(rng: random.Random) -> DetConfig:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,8 +15,10 @@ from hetmac.infodensity import (
     gaussian_tin_mi,
     information_density,
     mi_lower_bound,
+    _CHUNK,
     _chunk_draw,
     _density,
+    _density_1d,
     _receive_tables,
 )
 from hetmac.pipeline import BitAllocation, enumerate_allocations
@@ -188,6 +191,38 @@ class TestSeparableKernel:
         for (k, l), parts in sig.parts.items():
             if parts:
                 assert_matches_bruteforce_2d(cfg, sig, k, l, seed=9, chunk=2, noise_scale=1.5)
+
+
+class TestKernelBatching:
+    @pytest.mark.parametrize("own_size, w_size", [(16, 4), (8, 128), (2, 512), (1, 1024)])
+    def test_rows_do_not_depend_on_the_batch(self, own_size, w_size):
+        rng = np.random.default_rng(own_size * w_size)
+        own = np.sort(rng.standard_normal(own_size)) * 4.0
+        w = rng.standard_normal(w_size) * 4.0
+        y = rng.standard_normal(2 * _CHUNK) * 5.0
+        x = rng.integers(0, own_size, y.size)
+        whole = _density_1d(y, x, own, w)
+        halves = [_density_1d(y[s:s + _CHUNK], x[s:s + _CHUNK], own, w) for s in (0, _CHUNK)]
+        rows = [_density_1d(y[j:j + 1], x[j:j + 1], own, w) for j in range(y.size)]
+        assert np.array_equal(whole, np.concatenate(halves))
+        assert np.array_equal(whole, np.concatenate(rows))
+
+    def test_near_cap_memory_is_one_temporary(self):
+        # sub-block (0, 0): 8 own rail levels x 128 interferer rail levels, the
+        # 2^20 size cap; a 4096-sample rail pass needs 2^22 float64 = 32 MiB
+        cfg = ChannelConfig.from_users([
+            UserSpec(60.0, 128, 1e-6), UserSpec(40.0, 200, 1e-5), UserSpec(24.0, 300, 1e-4),
+        ])
+        sig = build_scheme(cfg, BitAllocation(m=((6,), (8, 4), (6, 2, 6))))
+        own, w, _, _ = _receive_tables(cfg, sig, 0, 0)
+        assert own.size * w.size == 1024
+        tracemalloc.start()
+        try:
+            estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 class TestEstimateStats:

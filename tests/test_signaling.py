@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hetmac import detmac
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import ConstellationTooLargeError, UnsupportedOrderError
 from hetmac.pipeline import BitAllocation
@@ -95,6 +96,27 @@ class TestBuildScheme:
         sig = build_scheme(two_user_cfg(), BitAllocation(m=m, scheme_type=scheme_type))
         for key, val in expected.items():
             assert sig.zeta[key] == pytest.approx(val, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "snrs, m",
+        [
+            ((24.0, 12.0), ((4,), (4, 4))),  # allocation E
+            ((36.0, 24.0, 12.0), ((2,), (2, 2), (2, 2, 2))),  # every entry loaded
+        ],
+    )
+    def test_one_layout_per_component(self, monkeypatch, snrs, m):
+        cfg = ChannelConfig.from_users(
+            [UserSpec(s, 100 + 40 * i, 1e-5) for i, s in enumerate(snrs)]
+        )
+        layout, components = detmac.component_layout, []
+
+        def counted(n, m_col, component, scheme_type):
+            components.append(component)
+            return layout(n, m_col, component, scheme_type)
+
+        monkeypatch.setattr(detmac, "component_layout", counted)
+        build_scheme(cfg, BitAllocation(m=m))
+        assert components == list(range(cfg.users))
 
     def test_silent_subblock_conventions(self):
         cfg = two_user_cfg()
