@@ -18,7 +18,8 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import yaml
 
@@ -43,46 +44,26 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VIOLATION = 4
 
-_USER_KEYS = {"snr_db", "blocklength", "target_eps", "power", "gain"}
-_ESTIMATOR_KEYS = {"samples", "seed"}
-_FLAG_KEYS = {"even_only", "scheme_types", "selection_policy"}
-_ALLOC_KEYS = {"id", "m", "scheme"}
-_TOP_KEYS = {"users", "estimator", "flags", "allocations"}
 
-
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    users: list[UserSpec]
-    samples: int = 200_000
-    seed: int = 0
-    even_only: bool = True
-    scheme_types: str = "both"
-    selection_policy: str = "all"
+    users: tuple[UserSpec, ...]
+    samples: int
+    seed: int
+    even_only: bool
+    scheme_types: str
+    selection_policy: str
     # (id, allocation, pinned scheme label or None)
-    allocations: list[tuple[str, BitAllocation, str | None]] = field(default_factory=list)
+    allocations: tuple[tuple[str, BitAllocation, str | None], ...]
 
     def channel(self) -> ChannelConfig:
         return ChannelConfig.from_users(self.users)
 
 
-def _reject_unknown(mapping: dict, allowed: set, where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
-
-
-def _mapping(raw, where: str) -> dict:
-    """An optional section: absent or empty means {}, anything else must be a mapping."""
-    if not raw:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    return raw
-
-
-def _number(raw, where: str, kind: type = float):
-    """raw converted by kind (int or float); anything else, booleans,
-    infinities and fractions where an int is wanted are config errors."""
+def _number(raw, where: str, kind: type = float, least: float = -math.inf):
+    """raw converted by kind (int or float); anything else, booleans, infinities,
+    values below least and fractions where an int is wanted are config errors.
+    Strings go through kind too, since YAML 1.1 reads an unquoted 1e-5 as one."""
     try:
         value = None if isinstance(raw, bool) else kind(raw)
     except (TypeError, ValueError, OverflowError):
@@ -90,28 +71,76 @@ def _number(raw, where: str, kind: type = float):
     if value is None or not math.isfinite(value) or isinstance(raw, float) and value != raw:
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{where} must be {noun}, got {raw!r}")
+    if value < least:
+        raise ConfigError(f"{where} must be at least {least}, got {value}")
     return value
 
 
-def _optional_number(raw, where: str):
-    return None if raw is None else _number(raw, where)
-
-
-def _parse_gain(raw, where: str):
-    if raw is None:
-        return None
-    if isinstance(raw, (int, float)):
-        return _number(raw, where)
+def _gain(raw, where: str):
     if isinstance(raw, list) and len(raw) == 2:
         return complex(_number(raw[0], where), _number(raw[1], where))
-    raise ConfigError(f"{where} must be a number or a [re, im] pair")
+    if not isinstance(raw, (int, float)):
+        raise ConfigError(f"{where} must be a number or a [re, im] pair")
+    return _number(raw, where)
 
 
-def _checked_samples(raw, where: str) -> int:
-    samples = _number(raw, where, int)
-    if samples < MIN_SAMPLES:
-        raise ConfigError(f"{where} must be at least {MIN_SAMPLES}, got {samples}")
-    return samples
+def _kind(test, noun: str, out=lambda raw: raw):
+    """The parser giving out(raw) for a raw that test accepts; anything else is an error."""
+    def parse(raw, where: str):
+        if not test(raw):
+            raise ConfigError(f"{where} must be {noun}, got {raw!r}")
+        return out(raw)
+    return parse
+
+
+def _choice(*options: str):
+    return _kind(lambda raw: str(raw) in options, f"one of {', '.join(options)}", str)
+
+
+_REQUIRED = object()  # the default of a key its section must give
+_SAMPLES = partial(_number, kind=int, least=MIN_SAMPLES)
+# an allocation id, as text one CSV cell can hold
+_ID = _kind(
+    lambda raw: type(raw) in (str, int) and str(raw) != "" and not set(str(raw)) & set(',"\r\n'),
+    "a name with no comma, double quote or line break", str,
+)
+_LIST = _kind(lambda raw: isinstance(raw, list), "a list")
+_MAPPING = _kind(lambda raw: isinstance(raw, dict), "a mapping")
+# Each section's keys: key -> (parser, default).  An absent key takes its
+# default; a null is absent where the default is None, and an error elsewhere.
+_FIELDS = {
+    "scenario": {
+        "users": (_kind(lambda raw: isinstance(raw, list) and raw, "a non-empty list"), _REQUIRED),
+        "estimator": (_MAPPING, None), "flags": (_MAPPING, None), "allocations": (_LIST, None),
+    },
+    "users": {
+        "snr_db": (_number, None), "blocklength": (partial(_number, kind=int), _REQUIRED),
+        "target_eps": (_number, _REQUIRED), "power": (_number, None), "gain": (_gain, None),
+    },
+    "estimator": {"samples": (_SAMPLES, 200_000), "seed": (partial(_number, kind=int), 0)},
+    "flags": {
+        "even_only": (_kind(lambda raw: isinstance(raw, bool), "true or false"), True),
+        "scheme_types": (_choice("1", "2", "both"), "both"),
+        "selection_policy": (_choice("all", "max_min", "sum_rate"), "all"),
+    },
+    "allocations": {
+        "id": (_ID, _REQUIRED), "m": (_LIST, _REQUIRED), "scheme": (_choice("1", "2"), None),
+    },
+}
+
+
+def _fields(raw, table: dict, where: str) -> dict:
+    """The mapping raw checked against table, each value parsed at its location."""
+    unknown = set(_MAPPING(raw, where)) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown, key=str)} in {where}")
+    out = {}
+    for key, (parse, default) in table.items():
+        value = raw.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"{where} needs {key}")
+        out[key] = value if value is default else parse(value, f"{where}.{key}")
+    return out
 
 
 def load_scenario(path: str) -> Scenario:
@@ -122,73 +151,30 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {' '.join(str(exc).split())}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario file must hold a mapping")
-    _reject_unknown(raw, _TOP_KEYS, "scenario")
-    users_raw = raw.get("users")
-    if not isinstance(users_raw, list) or not users_raw:
-        raise ConfigError("scenario needs a non-empty 'users' list")
-    users = []
-    for i, u in enumerate(users_raw):
-        if not isinstance(u, dict):
-            raise ConfigError(f"users[{i}] must be a mapping")
-        _reject_unknown(u, _USER_KEYS, f"users[{i}]")
-        if "blocklength" not in u or "target_eps" not in u:
-            raise ConfigError(f"users[{i}] needs blocklength and target_eps")
-        users.append(
-            UserSpec(
-                snr_db=_optional_number(u.get("snr_db"), f"users[{i}].snr_db"),
-                blocklength=_number(u["blocklength"], f"users[{i}].blocklength", int),
-                target_eps=_number(u["target_eps"], f"users[{i}].target_eps"),
-                power=_optional_number(u.get("power"), f"users[{i}].power"),
-                gain=_parse_gain(u.get("gain"), f"users[{i}].gain"),
-            )
-        )
-    scenario = Scenario(users=users)
-    est = _mapping(raw.get("estimator"), "estimator")
-    if est:
-        _reject_unknown(est, _ESTIMATOR_KEYS, "estimator")
-        scenario.samples = _checked_samples(est.get("samples", scenario.samples), "estimator.samples")
-        scenario.seed = _number(est.get("seed", scenario.seed), "estimator.seed", int)
-    flags = _mapping(raw.get("flags"), "flags")
-    if flags:
-        _reject_unknown(flags, _FLAG_KEYS, "flags")
-        scenario.even_only = flags.get("even_only", True)
-        if not isinstance(scenario.even_only, bool):
-            raise ConfigError(f"flags.even_only must be true or false, got {scenario.even_only!r}")
-        scenario.scheme_types = str(flags.get("scheme_types", "both"))
-        scenario.selection_policy = str(flags.get("selection_policy", "all"))
-        if scenario.scheme_types not in ("1", "2", "both"):
-            raise ConfigError("scheme_types must be 1, 2 or both")
-        if scenario.selection_policy not in ("all", "max_min", "sum_rate"):
-            raise ConfigError("selection_policy must be all, max_min or sum_rate")
-    allocations = raw.get("allocations") or []
-    if not isinstance(allocations, list):
-        raise ConfigError("allocations must be a list")
-    for j, a in enumerate(allocations):
-        if not isinstance(a, dict):
-            raise ConfigError(f"allocations[{j}] must be a mapping")
-        _reject_unknown(a, _ALLOC_KEYS, f"allocations[{j}]")
-        if "id" not in a or "m" not in a:
-            raise ConfigError(f"allocations[{j}] needs id and m")
-        pinned = a.get("scheme")
-        if pinned is not None and str(pinned) not in ("1", "2"):
-            raise ConfigError(f"allocations[{j}]: scheme must be 1 or 2")
+    top = _fields(raw, _FIELDS["scenario"], "scenario")
+    users = tuple(
+        UserSpec(**_fields(u, _FIELDS["users"], f"users[{i}]")) for i, u in enumerate(top["users"])
+    )
+    allocations = {}
+    for j, a in enumerate(top["allocations"] or ()):
+        where = f"allocations[{j}]"
+        a = _fields(a, _FIELDS["allocations"], where)
+        if a["id"] in allocations:
+            raise ConfigError(f"{where}: id {a['id']!r} is used twice")
+        m = tuple(tuple(_LIST(row, f"{where}.m[{k}]")) for k, row in enumerate(a["m"]))
         try:
-            alloc = BitAllocation(
-                m=tuple(tuple(row) for row in a["m"]),
-                scheme_type=int(pinned) if pinned is not None else 1,
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"allocations[{j}]: {exc}") from exc
+            alloc = BitAllocation(m=m, scheme_type=int(a["scheme"] or 1))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
         if alloc.users != len(users):
-            raise ConfigError(
-                f"allocations[{j}]: m has {alloc.users} rows for {len(users)} users"
-            )
-        scenario.allocations.append(
-            (str(a["id"]), alloc, str(pinned) if pinned is not None else None)
-        )
-    return scenario
+            raise ConfigError(f"{where}: m has {alloc.users} rows for {len(users)} users")
+        allocations[a["id"]] = (a["id"], alloc, a["scheme"])
+    return Scenario(
+        users=users,
+        allocations=tuple(allocations.values()),
+        **_fields(top["estimator"] or {}, _FIELDS["estimator"], "estimator"),
+        **_fields(top["flags"] or {}, _FIELDS["flags"], "flags"),
+    )
 
 
 def _scenario_allocations(scenario: Scenario, cfg: ChannelConfig):
@@ -421,28 +407,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> None:
+def _apply_overrides(scenario: Scenario, args: argparse.Namespace) -> Scenario:
     if getattr(args, "workers", 1) < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    if getattr(args, "samples", None) is not None:
-        scenario.samples = _checked_samples(args.samples, "--samples")
-    if getattr(args, "seed", None) is not None:
-        scenario.seed = args.seed
     if args.command != "det-verify" and not scenario.even_only:
         raise ConfigError(
             "flags.even_only: false is only valid for det-verify; "
             "QAM signaling needs even orders"
         )
-    scheme = getattr(args, "scheme", None)
-    if args.command == "region" and scheme is not None:
-        scenario.scheme_types = scheme
+    changes = {
+        key: _FIELDS["estimator"][key][0](getattr(args, key), f"--{key}")
+        for key in ("samples", "seed")
+        if getattr(args, key, None) is not None
+    }
+    if args.command == "region" and args.scheme is not None:
+        changes["scheme_types"] = args.scheme
+    return replace(scenario, **changes)
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
-        _apply_overrides(scenario, args)
+        scenario = _apply_overrides(load_scenario(args.scenario), args)
         if args.command == "region":
             return cmd_region(scenario, args.out, workers=args.workers)
         if args.command == "det-verify":

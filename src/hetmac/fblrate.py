@@ -114,8 +114,6 @@ class RateReport:
     stats: tuple[DensityStats, ...]
     weighted_mi: float
     dispersion_sum: float
-    b_constant: float
-    lambda_thresh: float | None
     o_term_dropped: bool = True
 
 
@@ -127,8 +125,6 @@ def build_rate_report(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int)
         stats=tuple(stats),
         weighted_mi=mi_sum / cfg.N[k],
         dispersion_sum=var_sum,
-        b_constant=berry_esseen_constant(cfg, stats, k),
-        lambda_thresh=lambda_threshold(cfg, stats, k),
     )
 
 

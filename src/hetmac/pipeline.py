@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
+from numbers import Real
 from typing import Iterator, Sequence
 
 from .config import ChannelConfig
@@ -15,8 +16,9 @@ DEFAULT_ENUMERATION_CAP = 200_000
 
 
 def _order(v) -> int:
-    """An order as an int; a bool or a value int() would change is an error."""
-    if isinstance(v, bool) or int(v) != v:
+    """An order as an int; a bool, a non-number, a non-finite number or a
+    value int() would change is an error."""
+    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v) or int(v) != v:
         raise ValueError(f"orders must be integers, got {v!r}")
     return int(v)
 

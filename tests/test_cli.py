@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import math
 import os
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hetmac.cli import (
+    _FIELDS,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -44,6 +46,44 @@ BAD_USER_SCALARS = {
     "snr_db_bool": {"snr_db": True},
     "power_bool": {"snr_db": None, "power": True, "gain": 1.0},
     "gain_bool": {"snr_db": None, "power": 16.0, "gain": True},
+}
+# sections of the wrong type and malformed order tables, each with the
+# located message it must give (Python's own text used to leak through)
+BAD_SECTIONS = {
+    "estimator_zero": ({"estimator": 0}, "scenario.estimator must be a mapping, got 0"),
+    "estimator_list": ({"estimator": []}, "scenario.estimator must be a mapping, got []"),
+    "flags_false": ({"flags": False}, "scenario.flags must be a mapping, got False"),
+    "allocations_mapping": ({"allocations": {}}, "scenario.allocations must be a list, got {}"),
+    "allocations_zero": ({"allocations": 0}, "scenario.allocations must be a list, got 0"),
+    "m_string": ({"allocations": [{"id": "E", "m": "ab"}]}, "allocations[0].m must be a list"),
+    "m_row_mapping": (
+        {"allocations": [{"id": "E", "m": [[4], {"a": 1}]}]}, "allocations[0].m[1] must be a list"
+    ),
+    "m_row_int": ({"allocations": [{"id": "E", "m": [[4], 5]}]}, "allocations[0].m[1] must be a list"),
+    "m_entry_string": (
+        {"allocations": [{"id": "E", "m": [["a"], [4, 4]]}]}, "orders must be integers, got 'a'"
+    ),
+    "m_inf": (
+        {"allocations": [{"id": "E", "m": [[float("inf")], [4, 4]]}]},
+        "orders must be integers, got inf",
+    ),
+    "m_nan": (
+        {"allocations": [{"id": "E", "m": [[float("nan")], [4, 4]]}]},
+        "orders must be integers, got nan",
+    ),
+}
+# allocation ids a CSV cell cannot hold, or that name two allocations:
+# (allocations, the --alloc text that named one at the parent, message)
+_SECOND = {"id": "A", "m": [[2], [4, 4]]}
+BAD_IDS = {
+    "repeated": ([{"id": "A", "m": [[4], [4, 4]]}, _SECOND], "A", "allocations[1]: id 'A' is used twice"),
+    "null": ([{"id": None, "m": [[4], [4, 4]]}], "None", "allocations[0].id must be"),
+    "list": ([{"id": [1, 2], "m": [[4], [4, 4]]}], "[1, 2]", "allocations[0].id must be"),
+    "bool": ([{"id": True, "m": [[4], [4, 4]]}], "True", "allocations[0].id must be"),
+    "empty": ([{"id": "", "m": [[4], [4, 4]]}], "", "allocations[0].id must be"),
+    "comma": ([{"id": "E,x", "m": [[4], [4, 4]]}], "E,x", "allocations[0].id must be"),
+    "quote": ([{"id": 'E"x', "m": [[4], [4, 4]]}], 'E"x', "allocations[0].id must be"),
+    "line_break": ([{"id": "E\nx", "m": [[4], [4, 4]]}], "E\nx", "allocations[0].id must be"),
 }
 
 
@@ -123,7 +163,7 @@ class TestScenarioLoading:
         [
             "missing_file", "directory", "not_utf8", "malformed_yaml", "row_count",
             "too_many_allocations", "seed_abc", "seed_bool", "m_fraction", "m_bool",
-            "even_only_string", "even_only_int", *BAD_USER_SCALARS,
+            "even_only_string", "even_only_int", *BAD_USER_SCALARS, *BAD_SECTIONS,
         ],
     )
     @pytest.mark.parametrize("command", ["region", "det-verify"])
@@ -144,6 +184,9 @@ class TestScenarioLoading:
             path = write_scenario(tmp_path, payload)
         elif case in BAD_USER_SCALARS:
             payload["users"][1].update(BAD_USER_SCALARS[case])
+            path = write_scenario(tmp_path, payload)
+        elif case in BAD_SECTIONS:
+            payload.update(BAD_SECTIONS[case][0])
             path = write_scenario(tmp_path, payload)
         elif case == "m_fraction":
             payload["allocations"] = [{"id": "E", "m": [[4.7], [0, 4]]}]
@@ -172,6 +215,36 @@ class TestScenarioLoading:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+        if case in BAD_SECTIONS:
+            assert BAD_SECTIONS[case][1] in err
+
+    @pytest.mark.parametrize("case", BAD_IDS)
+    @pytest.mark.parametrize("command", ["region", "det-verify", "codeparams"])
+    def test_bad_allocation_id_exits_two(self, tmp_path, capsys, case, command):
+        allocations, alloc_id, message = BAD_IDS[case]
+        payload = base_payload()
+        payload["allocations"] = allocations
+        argv = [command, "--scenario", write_scenario(tmp_path, payload)]
+        argv += {
+            "region": ["--out", str(tmp_path / "r.csv")],
+            "det-verify": [],
+            "codeparams": ["--alloc", alloc_id],
+        }[command]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}") and err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_unquoted_exponents_load_as_numbers(self, tmp_path):
+        # YAML 1.1 has no float form without a dot, so PyYAML reads these as strings
+        text = "users:\n  - {snr_db: 1e1, blocklength: 128, target_eps: 1e-5}\n"
+        assert yaml.safe_load(text)["users"][0] == {
+            "snr_db": "1e1", "blocklength": 128, "target_eps": "1e-5"
+        }
+        path = tmp_path / "exponents.yaml"
+        path.write_text(text)
+        (user,) = load_scenario(str(path)).users
+        assert (user.snr_db, user.target_eps) == (10.0, 1e-05)
 
     @pytest.mark.parametrize(
         "argv",
@@ -345,7 +418,8 @@ class TestDetVerify:
         assert "VIOLATION" in capsys.readouterr().out
 
 
-_JUNK = ("abc", None, [1, 2], {"a": 1}, float("nan"), float("inf"))
+# "a0" repeats the first allocation's id when drawn for another id
+_JUNK = ("abc", None, [1, 2], {"a": 1}, float("nan"), float("inf"), "", [], {}, "E,x", "a0")
 _RARELY = st.integers(0, 19).map(lambda i: i == 7)
 
 
@@ -353,12 +427,21 @@ _RARELY = st.integers(0, 19).map(lambda i: i == 7)
 def _scenario_mappings(draw):
     """Scenario mappings, mostly well typed; a field is junk about one time in twenty.
 
-    SNRs stay below 7 dB (at most 2 bit levels), so even an enumerated
-    three-user det-verify checks only a few hundred allocations.
+    Besides the fields drawn below, every key of the loader's own table
+    for a section is set to junk about one time in twenty, so a field the
+    loader gains is fuzzed too.  SNRs stay below 7 dB (at most 2 bit
+    levels), so even an enumerated three-user det-verify checks only a few
+    hundred allocations.
     """
 
     def field(good):
         return draw(st.sampled_from(_JUNK)) if draw(_RARELY) else draw(good)
+
+    def junk_keys(section, mapping):
+        for key in _FIELDS[section]:
+            if draw(_RARELY):
+                mapping[key] = draw(st.sampled_from(_JUNK))
+        return mapping
 
     users = []
     for _ in range(draw(st.integers(1, 3))):
@@ -371,17 +454,18 @@ def _scenario_mappings(draw):
         if draw(_RARELY) or "snr_db" not in user:
             user["power"] = field(st.floats(0.5, 3.0))
             user["gain"] = field(st.sampled_from([1.0, -1.2, [0.6, 0.8], ["x", 1]]))
-        users.append(user)
+        users.append(junk_keys("users", user))
     out = {"users": field(st.just(users))}
     if draw(st.booleans()):
-        out["estimator"] = field(
+        estimator = draw(
             st.fixed_dictionaries(
                 {},
                 optional={"samples": st.sampled_from([10_000, 5]), "seed": st.integers(-3, 2**40)},
             )
         )
+        out["estimator"] = field(st.just(junk_keys("estimator", estimator)))
     if draw(st.booleans()):
-        out["flags"] = field(
+        flags = draw(
             st.fixed_dictionaries(
                 {},
                 optional={
@@ -391,6 +475,7 @@ def _scenario_mappings(draw):
                 },
             )
         )
+        out["flags"] = field(st.just(junk_keys("flags", flags)))
     if draw(st.booleans()):
         allocations = []
         for j in range(draw(st.integers(0, 3))):
@@ -400,11 +485,11 @@ def _scenario_mappings(draw):
             alloc = {"id": f"a{j}", "m": field(st.just(m))}
             if draw(st.booleans()):
                 alloc["scheme"] = draw(st.sampled_from([1, 2, 2, 3]))
-            allocations.append(alloc)
+            allocations.append(junk_keys("allocations", alloc))
         out["allocations"] = field(st.just(allocations))
     if draw(_RARELY):
         out["turbo"] = True
-    return out
+    return junk_keys("scenario", out)
 
 
 def _run_quietly(payload, argv, out=None):
@@ -668,6 +753,25 @@ class TestConstellationDump:
             ["constellation", "--scenario", UPLINK, "--alloc", "E", "--component", "5", "--out", str(out)]
         )
         assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("seed", [1, 204])
+def test_bench_workload_scenarios_load(tmp_path, monkeypatch, seed):
+    # the benchmark times load_scenario on these files, so a schema change
+    # that rejected one would break its set-up run
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    for workload in module.WORKLOADS.values():
+        path = tmp_path / f"{workload.name}.yaml"
+        path.write_text(workload.scenario_yaml(seed))
+        scenario = load_scenario(str(path))
+        assert (len(scenario.users), len(scenario.allocations), scenario.samples, scenario.seed) == (
+            len(workload.users), len(workload.allocations), workload.samples, seed
+        )
 
 
 def test_cli_import_loads_no_scipy():
