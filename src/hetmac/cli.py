@@ -79,7 +79,7 @@ def _number(raw, where: str, kind: type = float, least: float = -math.inf):
 def _gain(raw, where: str):
     if isinstance(raw, list) and len(raw) == 2:
         return complex(_number(raw[0], where), _number(raw[1], where))
-    if not isinstance(raw, (int, float)):
+    if isinstance(raw, (list, dict)):
         raise ConfigError(f"{where} must be a number or a [re, im] pair")
     return _number(raw, where)
 

@@ -79,13 +79,22 @@ def berry_esseen_constant(cfg: ChannelConfig, stats: Sequence[DensityStats], k: 
     return BERRY_ESSEEN_C0 * third / var**1.5
 
 
-def refined_epsilon(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int, lam: float) -> float:
-    """Three-term refined error bound: union term + Q(lambda) + Berry-Esseen term."""
+def _refined_terms(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float | None:
+    """Union plus Berry-Esseen term of the refined bound, 2/sqrt(2 pi V) + 5 B_k/sqrt(N_k),
+    V being the dispersion sum; None when V is not positive."""
     _, _, var_sum = _weighted_sums(cfg, stats, k)
     if var_sum <= 0:
-        raise ValueError("refined bound needs a positive dispersion sum")
+        return None
     bk = berry_esseen_constant(cfg, stats, k)
-    return 2.0 / math.sqrt(2.0 * math.pi * var_sum) + q_function(lam) + 5.0 * bk / math.sqrt(cfg.N[k])
+    return 2.0 / math.sqrt(2.0 * math.pi * var_sum) + 5.0 * bk / math.sqrt(cfg.N[k])
+
+
+def refined_epsilon(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int, lam: float) -> float:
+    """Three-term refined error bound: union term + Q(lambda) + Berry-Esseen term."""
+    terms = _refined_terms(cfg, stats, k)
+    if terms is None:
+        raise ValueError("refined bound needs a positive dispersion sum")
+    return terms + q_function(lam)
 
 
 def lambda_threshold(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float | None:
@@ -95,14 +104,10 @@ def lambda_threshold(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) 
     is not positive, i.e. the refined bound is infeasible at this
     blocklength rather than extrapolated.
     """
-    _, _, var_sum = _weighted_sums(cfg, stats, k)
-    if var_sum <= 0:
+    terms = _refined_terms(cfg, stats, k)
+    if terms is None or terms >= cfg.eps[k]:
         return None
-    bk = berry_esseen_constant(cfg, stats, k)
-    arg = cfg.eps[k] - 2.0 / math.sqrt(2.0 * math.pi * var_sum) - 5.0 * bk / math.sqrt(cfg.N[k])
-    if arg <= 0.0:
-        return None
-    return q_inv(arg)
+    return q_inv(cfg.eps[k] - terms)
 
 
 @dataclass(frozen=True)

@@ -180,9 +180,11 @@ def estimate_stats(
 
     Chunk c draws from the Philox stream keyed (_task_seed(seed, k, l), c),
     so the result is the one `hetmac region` reports at this seed, at any
-    worker count.  A sub-block without bits has all-zero stats and
-    samples 0.  The noise has unit variance per complex sample, the SNR
-    being carried entirely by the scaled constellations and channel gains.
+    worker count.  `workers` (at least 1) threads share the chunks, thread
+    s taking chunks s, s + workers, ...; thread 0 is the caller's own.  A
+    sub-block without bits has all-zero stats and samples 0.  The noise
+    has unit variance per complex sample, the SNR being carried entirely
+    by the scaled constellations and channel gains.
     """
     if not sig.parts[(k, l)]:
         return DensityStats.zeros()
@@ -196,15 +198,21 @@ def estimate_stats(
         return _density(y, x, tables[0], tables[1])
 
     chunks = range((samples + _CHUNK - 1) // _CHUNK)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(chunk, chunks))
-    else:
-        parts = [chunk(c) for c in chunks]
-    dens = np.concatenate(parts)
+    stride = min(workers, len(chunks))
+
+    def stripe(s: int) -> list[np.ndarray]:
+        return [chunk(c) for c in chunks[s::stride]]
+
+    # the caller runs stripe 0 itself, so one worker starts no thread: a caller
+    # waiting on a one-thread pool made a one-worker region run ~9% slower (2-core VM)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        rest = [pool.submit(stripe, s) for s in range(1, stride)]
+        stripes = [stripe(0), *(f.result() for f in rest)]
+    dens = np.concatenate([stripes[c % stride][c // stride] for c in chunks])
     mi = float(dens.mean())
     centered = dens - mi
-    dispersion = float(centered.dot(centered) / (samples - 1))
+    # a numpy reduction, not BLAS ddot: its bits and threads would follow the BLAS build
+    dispersion = float(np.square(centered).sum() / (samples - 1))
     third = float(np.mean(np.abs(centered) ** 3))
     return DensityStats(
         mi=mi,

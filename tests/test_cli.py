@@ -237,14 +237,19 @@ class TestScenarioLoading:
 
     def test_unquoted_exponents_load_as_numbers(self, tmp_path):
         # YAML 1.1 has no float form without a dot, so PyYAML reads these as strings
-        text = "users:\n  - {snr_db: 1e1, blocklength: 128, target_eps: 1e-5}\n"
+        text = (
+            "users:\n"
+            "  - {snr_db: 1e1, blocklength: 128, target_eps: 1e-5, power: 1e-1, gain: 1e1}\n"
+        )
         assert yaml.safe_load(text)["users"][0] == {
-            "snr_db": "1e1", "blocklength": 128, "target_eps": "1e-5"
+            "snr_db": "1e1", "blocklength": 128, "target_eps": "1e-5",
+            "power": "1e-1", "gain": "1e1",
         }
         path = tmp_path / "exponents.yaml"
         path.write_text(text)
         (user,) = load_scenario(str(path)).users
-        assert (user.snr_db, user.target_eps) == (10.0, 1e-05)
+        assert (user.snr_db, user.target_eps, user.power, user.gain) == (10.0, 1e-05, 0.1, 10.0)
+        assert user.resolve() == pytest.approx((0.1, 10.0, 10.0))
 
     @pytest.mark.parametrize(
         "argv",

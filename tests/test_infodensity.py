@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hetmac
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import UnsupportedOrderError
 from hetmac.infodensity import (
@@ -265,9 +270,41 @@ class TestEstimateStats:
 
     def test_deterministic_and_worker_independent(self):
         cfg, sig = qpsk_scheme(10.0)
-        a = estimate_stats(cfg, sig, 0, 0, samples=20_000, seed=7, workers=1)
-        b = estimate_stats(cfg, sig, 0, 0, samples=20_000, seed=7, workers=4)
-        assert a == b
+        # 10k samples make 3 chunks for 4 workers; 200k is above OpenBLAS's threading threshold
+        for samples in (10_000, 20_000, 200_000):
+            a = estimate_stats(cfg, sig, 0, 0, samples=samples, seed=7, workers=1)
+            b = estimate_stats(cfg, sig, 0, 0, samples=samples, seed=7, workers=4)
+            assert a == b, samples
+
+    def test_blas_thread_count_changes_no_bit(self):
+        # OpenBLAS threads a reduction only above a size threshold that 50k
+        # samples stay below, so the estimate runs at 200k samples
+        script = (
+            "from hetmac.config import ChannelConfig, UserSpec\n"
+            "from hetmac.infodensity import estimate_stats\n"
+            "from hetmac.pipeline import BitAllocation\n"
+            "from hetmac.signaling import build_scheme\n"
+            "cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])\n"
+            "sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))\n"
+            "stats = estimate_stats(cfg, sig, 1, 0, samples=200_000, seed=1)\n"
+            "print([float(v).hex() for v in vars(stats).values()])\n"
+        )
+        src = str(Path(hetmac.__file__).resolve().parent.parent)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                     "OMP_NUM_THREADS": threads},
+                capture_output=True, text=True, check=True, timeout=120,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+
+    def test_workers_below_one_rejected(self):
+        cfg, sig = qpsk_scheme(10.0)
+        with pytest.raises(ValueError):
+            estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=1, workers=0)
 
     def test_two_seeds_agree(self):
         cfg, sig = qpsk_scheme(6.0)
