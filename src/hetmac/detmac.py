@@ -4,10 +4,19 @@ Each entry of a binary column vector stands for one power level ("bit
 pipe"); the channel drops the levels below the noise floor by a down
 shift.  Achievable TIN rates reduce to rank identities, so everything
 here is small dense GF(2) linear algebra with bit-packed rows.
+
+achieved_rates packs each component's rows straight from the witness
+blocks: block row j of user k lands on word row depth - 1 of k's j-th
+depth, at k's column offset.  The depths come from component_layout once
+per (allocation, scheme) and are shared by every witness.  The ranks of
+the packed words still prove that the users' windows are disjoint.
+component_generators and build_generator build the same generators as
+F2Matrix objects for the library and the test oracles.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -320,16 +329,35 @@ def component_generators(
     }
 
 
-def _tin_ranks(
-    cfg: DetConfig, generators: Mapping[int, F2Matrix], component: int
-) -> dict[int, int]:
-    """rank(all) - rank(all but k) for every user k of the component.
+def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]:
+    """rank(all) - rank(all but k) for every user k of one component.
 
-    The row words of [S^(n_l - n_u) G_u]_u, concatenated by columns in
-    user order, are built straight from the generators' bits; user u's
-    columns sit under mask[u], so "all but k" is every word with k's
-    columns cleared, and rank(all) is computed once.
+    words are the component's packed rows: the rows of [S^(n_l - n_u) G_u]_u
+    concatenated by columns in user order, user u's columns under
+    masks[u].  "All but k" is every word with k's columns cleared, and
+    rank(all) is computed once.  A user's rate equals its bit count only
+    when its rows are independent of everyone else's, so the ranks prove
+    that the users' windows are disjoint; they never copy the allocation.
     """
+    rank_all = _rank_words(words)
+    rates = {}
+    for user, mask in masks.items():
+        keep = ~mask
+        # a user without columns leaves every word as it is: rate 0
+        rates[user] = rank_all - _rank_words([w & keep for w in words]) if mask else 0
+    return rates
+
+
+def det_mutual_info(
+    cfg: DetConfig, generators: Mapping[int, F2Matrix], k: int, component: int
+) -> int:
+    """TIN rate of user k in one component: rank(all) - rank(interferers).
+
+    Each generator is shifted down by n_l - n_u and packed at its column
+    offset, users in ascending order, before the one rank routine runs.
+    """
+    if k not in generators:
+        raise ValueError(f"no generator for user {k}")
     nl = cfg.n[component]
     words = [0] * nl
     masks = {}
@@ -346,22 +374,27 @@ def _tin_ranks(
                 words[r] |= b << offset
         masks[user] = ((1 << g.cols) - 1) << offset
         offset += g.cols
-    rank_all = _rank_words(words)
-    rates = {}
-    for user, mask in masks.items():
-        keep = ~mask
-        # a user without columns leaves every word as it is: rate 0
-        rates[user] = rank_all - _rank_words([w & keep for w in words]) if mask else 0
-    return rates
+    return _tin_ranks(words, masks)[k]
 
 
-def det_mutual_info(
-    cfg: DetConfig, generators: Mapping[int, F2Matrix], k: int, component: int
-) -> int:
-    """TIN rate of user k in one component: rank(all) - rank(interferers)."""
-    if k not in generators:
-        raise ValueError(f"no generator for user {k}")
-    return _tin_ranks(cfg, generators, component)[k]
+@functools.lru_cache(maxsize=8)
+def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Packed word row of each bit: [l][k - l][j] = depth - 1 of user k's j-th depth.
+
+    _place_block puts block row j at generator row depth - 1 - (n_l - n_k)
+    and the TIN shift moves it down by n_l - n_k, so the two cancel.  The
+    rows depend only on (allocation, scheme), so det-verify's witnesses
+    of one scheme share them.
+    """
+    out = []
+    for l in range(cfg.users):
+        m_col = [cfg.m[i][l] for i in range(l, cfg.users)]
+        layout = component_layout(cfg.n, m_col, l, scheme_type)
+        out.append(tuple(
+            tuple(d for start, end in layout[k] for d in range(start, end))
+            for k in range(l, cfg.users)
+        ))
+    return tuple(out)
 
 
 def achieved_rates(
@@ -369,14 +402,32 @@ def achieved_rates(
     scheme_type: int = 1,
     f_blocks: Mapping[tuple[int, int], F2Matrix] | None = None,
 ) -> dict[tuple[int, int], int]:
-    """TIN rate of every (user, component) pair under the chosen scheme."""
+    """TIN rate of every (user, component) pair under the chosen scheme.
+
+    Block row j of user k (f_blocks[(k, l)], the identity 1 << j when
+    absent) is packed at word row depth - 1 of k's j-th depth from
+    _depth_rows, shifted to k's column offset; the ranks of those words
+    are the rates.
+    """
     rates = {}
-    for l in range(cfg.users):
-        per_user = None
-        if f_blocks is not None:
-            per_user = {k: f for (k, fl), f in f_blocks.items() if fl == l}
-        gens = component_generators(cfg, l, scheme_type, per_user)
-        for k, r in _tin_ranks(cfg, gens, l).items():
+    for l, rows in enumerate(_depth_rows(cfg, scheme_type)):
+        words = [0] * cfg.n[l]
+        masks = {}
+        offset = 0
+        for k, depths in enumerate(rows, l):
+            mk = cfg.m[k][l]
+            f = f_blocks.get((k, l)) if f_blocks else None
+            if f is None:
+                for j, r in enumerate(depths, offset):
+                    words[r] |= 1 << j
+            elif (f.rows, f.cols) != (mk, mk):
+                raise ValueError(f"F block must be {mk}x{mk}")
+            else:
+                for r, b in zip(depths, f.bits):
+                    words[r] |= b << offset
+            masks[k] = ((1 << mk) - 1) << offset
+            offset += mk
+        for k, r in _tin_ranks(words, masks).items():
             rates[(k, l)] = r
     return rates
 

@@ -14,7 +14,8 @@ from hetmac.config import ChannelConfig, UserSpec
 from hetmac.fblrate import rate_region_sweep
 from hetmac.pipeline import BitAllocation
 
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _wrapped():
@@ -44,3 +45,34 @@ def test_sweep_passes_estimate_stats_its_subblock_positionally(monkeypatch):
     cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
     rate_region_sweep(cfg, [("E", BitAllocation(m=((4,), (4, 4))), None)], samples=10_000)
     assert arities and min(arities) >= 4
+
+
+def test_det_verify_reaches_every_detmac_span(monkeypatch, capsys):
+    # det-verify-3u's traced run requires these spans; each is looked up on
+    # hetmac.detmac at call time, and rank_f2 must stay the rank test of
+    # random_full_rank
+    import hetmac.detmac as detmac_mod
+
+    stack = []
+    calls = []
+
+    def wrap(name):
+        fn = getattr(detmac_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, stack[-1] if stack else None))
+            stack.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return wrapper
+
+    names = ("verify_region", "achieved_rates", "random_full_rank", "rank_f2")
+    for name in names:
+        monkeypatch.setattr(detmac_mod, name, wrap(name))
+    scenario = str(ROOT / "scenarios" / "two_user_uplink.yaml")
+    assert hetmac.cli.main(["det-verify", "--scenario", scenario]) == 0
+    assert {name for name, _ in calls} == set(names)
+    assert ("rank_f2", "random_full_rank") in calls

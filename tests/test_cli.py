@@ -422,6 +422,57 @@ class TestDetVerify:
         assert main(["det-verify", "--scenario", path]) == 4
         assert "VIOLATION" in capsys.readouterr().out
 
+    def test_one_layout_per_table_scheme_and_component(self, monkeypatch, capsys):
+        import hetmac.cli as cli_mod
+
+        det = cli_mod.detmac
+        det._depth_rows.cache_clear()  # entries left by earlier tests would hide calls
+        current = []
+        layouts = []
+        true_rates, true_layout = det.achieved_rates, det.component_layout
+
+        def rates(cfg, scheme_type, f_blocks=None):
+            current.append((cfg.m, scheme_type))
+            return true_rates(cfg, scheme_type, f_blocks)
+
+        def layout(n, m_col, component, scheme_type):
+            layouts.append(current[-1] + (component,))
+            return true_layout(n, m_col, component, scheme_type)
+
+        monkeypatch.setattr(det, "achieved_rates", rates)
+        monkeypatch.setattr(det, "component_layout", layout)
+        assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
+        # all 7 allocations are feasible: identity + 3 witnesses per scheme
+        assert len(current) == 7 * 8
+        # C and D share one table, so D reuses C's layouts
+        tables = {m for m, _ in current}
+        assert len(tables) == 6
+        assert sorted(layouts) == sorted((m, s, l) for m in tables for s in (1, 2) for l in range(2))
+
+    def test_packed_pass_checks_the_layout(self, monkeypatch, capsys):
+        import hetmac.cli as cli_mod
+
+        det = cli_mod.detmac
+        true_rows = det._depth_rows
+
+        def shared_depth(cfg, scheme_type):
+            # the last user with bits in a component reuses the first one's top depth
+            out = []
+            for comp in true_rows(cfg, scheme_type):
+                comp = [list(rows) for rows in comp]
+                busy = [rows for rows in comp if rows]
+                if len(busy) > 1:
+                    busy[-1][0] = busy[0][0]
+                out.append(tuple(tuple(rows) for rows in comp))
+            return tuple(out)
+
+        monkeypatch.setattr(det, "_depth_rows", shared_depth)
+        cfg = det.DetConfig(n=(8, 4), m=((4,), (4, 4)))
+        rates = det.achieved_rates(cfg, 1)
+        assert rates[(0, 0)] < 4 and rates[(1, 0)] < 4 and rates[(1, 1)] == 4
+        assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
+        assert "VIOLATION" in capsys.readouterr().out
+
 
 # "a0" repeats the first allocation's id when drawn for another id
 _JUNK = ("abc", None, [1, 2], {"a": 1}, float("nan"), float("inf"), "", [], {}, "E,x", "a0")

@@ -351,3 +351,9 @@ def test_achieved_rates_cover_all_pairs():
     cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
     rates = achieved_rates(cfg, 1)
     assert rates == {(0, 0): 6, (1, 0): 4, (1, 1): 8}
+
+
+def test_achieved_rates_rejects_a_block_of_the_wrong_shape():
+    cfg = DetConfig(n=(10, 8), m=((6,), (2, 8)))
+    with pytest.raises(ValueError, match="F block must be 2x2"):
+        achieved_rates(cfg, 1, {(1, 0): F2Matrix.identity(3)})
