@@ -263,8 +263,18 @@ def rate_region_sweep(
     allocations holds (id, BitAllocation, pinned) triples; a pinned "1"
     or "2" replaces scheme_types for that allocation, and None keeps it.
     With 'both', an allocation whose two layerings yield identical
-    signaling is reported once with label '1&2'.
+    signaling is reported once with label '1&2'.  Each distinct (k, l,
+    parts of users l..K-1 in sub-block l) is estimated once and its
+    DensityStats reused: the stream and the tables depend only on those.
     """
+    memo: dict[tuple, DensityStats] = {}
+
+    def stats(sig: SchemeSignaling, k: int, l: int) -> DensityStats:
+        key = (k, l, tuple(sig.parts[(i, l)] for i in range(l, cfg.users)))
+        if key not in memo:
+            memo[key] = estimate_stats(cfg, sig, k, l, samples, seed, workers)
+        return memo[key]
+
     results = []
     for alloc_id, alloc, pinned in allocations:
         wanted = {"1": (1,), "2": (2,), "both": (1, 2)}[pinned or scheme_types]
@@ -275,11 +285,7 @@ def rate_region_sweep(
             variants = [(str(t), built[t]) for t in wanted]
         for label, sig in variants:
             reports = tuple(
-                build_rate_report(
-                    cfg,
-                    [estimate_stats(cfg, sig, k, l, samples, seed, workers) for l in range(k + 1)],
-                    k,
-                )
+                build_rate_report(cfg, [stats(sig, k, l) for l in range(k + 1)], k)
                 for k in range(cfg.users)
             )
             results.append(SweepResult(alloc_id, label, alloc, sig, reports))

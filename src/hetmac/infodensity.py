@@ -78,7 +78,7 @@ class DensityStats:
 
 
 def _task_seed(seed: int, k: int, l: int) -> int:
-    # common random numbers across allocations: streams keyed by (user, sub-block)
+    # common random numbers keyed by (user, sub-block): equal parts present give equal stats
     return (seed * 0x9E3779B9 + k * 65537 + l * 257) & 0x7FFFFFFFFFFFFFFF
 
 

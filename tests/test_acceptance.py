@@ -54,20 +54,20 @@ def cfg_ref() -> ChannelConfig:
 
 @pytest.fixture(scope="module")
 def sweep(cfg_ref):
-    """Rate evaluation of the seven reference points at 2e5 samples."""
-    results = {}
-    for name, m, scheme_type in TABLE_POINTS:
-        scheme = str(scheme_type) if name in ("C", "D") else "both"
-        rows = rate_region_sweep(
-            cfg_ref,
-            [(name, BitAllocation(m=m), None)],
-            samples=200_000,
-            seed=20240901,
-            scheme_types=scheme,
-        )
-        assert len(rows) == 1, f"point {name} expected one merged row"
-        results[name] = rows[0]
-    return results
+    """Rate evaluation of the seven reference points at 2e5 samples, in one
+    sweep so that points sharing a sub-block share its estimate."""
+    rows = rate_region_sweep(
+        cfg_ref,
+        [
+            (name, BitAllocation(m=m), str(scheme_type) if name in ("C", "D") else None)
+            for name, m, scheme_type in TABLE_POINTS
+        ],
+        samples=200_000,
+        seed=20240901,
+    )
+    names = [r.alloc_id for r in rows]
+    assert names == [name for name, _, _ in TABLE_POINTS], f"not one merged row per point: {names}"
+    return {r.alloc_id: r for r in rows}
 
 
 def test_criterion_1_power_ratio_table(cfg_ref):

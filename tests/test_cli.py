@@ -31,6 +31,7 @@ WIDEBAND = str(SCENARIOS / "two_user_wideband.yaml")
 # `region` on UPLINK at --samples 10000 --seed 20240901, recorded with the 2-D density kernel
 DATA = Path(__file__).resolve().parent / "data"
 GOLDEN_UPLINK = DATA / "two_user_uplink_s10000_seed20240901.csv"
+GOLDEN_ENUM = DATA / "two_user_uplink_enum_s10000_seed20241018.csv"
 # user fields a scenario may get wrong, each with a value load_scenario must reject
 BAD_USER_SCALARS = {
     "blocklength_abc": {"blocklength": "abc"},
@@ -649,6 +650,16 @@ class TestRegion:
         )
         assert code == EXIT_OK
         assert out.read_bytes() == GOLDEN_UPLINK.read_bytes()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_golden_enumerated_csv_bytes(self, tmp_path, workers):
+        # every even allocation of the uplink users: the sweep where most
+        # sub-blocks repeat across allocations
+        out = tmp_path / "region.csv"
+        scenario = str(DATA / "two_user_uplink_enum.yaml")
+        argv = ["region", "--scenario", scenario, "--out", str(out), "--workers", workers]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == GOLDEN_ENUM.read_bytes()
 
     def test_enumerated_allocations_when_none_fixed(self, tmp_path):
         payload = base_payload()

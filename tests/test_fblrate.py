@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcinv
 
+import hetmac.fblrate as fblrate
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.fblrate import (
     BenchmarkRegion,
@@ -21,8 +22,8 @@ from hetmac.fblrate import (
     rate_region_sweep,
     refined_epsilon,
 )
-from hetmac.infodensity import DensityStats, estimate_stats, gaussian_tin_mi
-from hetmac.pipeline import BitAllocation
+from hetmac.infodensity import DensityStats, _receive_tables, estimate_stats, gaussian_tin_mi
+from hetmac.pipeline import BitAllocation, enumerate_allocations
 from hetmac.signaling import build_scheme
 
 from oracles import density_moments_quadrature, q_bisection
@@ -300,13 +301,64 @@ class TestSweep:
         assert [(r.alloc_id, r.scheme_label) for r in results] == [("C", "2"), ("D", "1")]
 
     def test_reports_hold_the_library_estimates(self):
-        # estimate_stats at the sweep's seed reproduces the sweep bit for bit
+        # estimate_stats at the sweep's seed reproduces the sweep bit for bit,
+        # on every enumerated allocation, so a shared estimate under a wrong
+        # key would show here
         cfg = two_user()
-        for res in rate_region_sweep(
-            cfg, [("C", BitAllocation(m=((6,), (2, 4))), "2")], samples=10_000, seed=3
-        ):
+        for res in rate_region_sweep(cfg, enumerated(cfg), samples=10_000, seed=3):
             for k, rep in enumerate(res.reports):
                 assert rep.stats == tuple(
                     estimate_stats(cfg, res.signaling, k, l, samples=10_000, seed=3)
                     for l in range(k + 1)
-                )
+                ), (res.alloc_id, res.scheme_label, k)
+
+    def test_equal_subblocks_are_estimated_once(self, monkeypatch):
+        cfg = two_user()
+        calls = count_estimates(monkeypatch)
+        allocs = [
+            ("E", BitAllocation(m=((4,), (4, 4))), None),
+            ("F", BitAllocation(m=((2,), (4, 4))), None),
+        ]
+        rate_region_sweep(cfg, allocs, samples=10_000, seed=3)
+        # user 1 alone in sub-block 1 has the same parts in E and F; in
+        # sub-block 0 its interferer, user 0, has 4 bits in E and 2 in F
+        subblocks = [(k, l) for k, l, _ in calls]
+        assert subblocks.count((1, 1)) == 1
+        assert subblocks.count((1, 0)) == 2
+
+    def test_enumerated_sweep_samples_each_distinct_subblock_once(self, monkeypatch):
+        cfg = two_user()
+        calls = count_estimates(monkeypatch)
+        results = rate_region_sweep(cfg, enumerated(cfg), samples=10_000, seed=3)
+        sampled = [stats for _, _, stats in calls if stats.samples]
+        # an exact key of the estimate: the task, both rails as bytes and the
+        # part orders that map a draw to rail indices
+        subblocks = []
+        for res in results:
+            for k in range(cfg.users):
+                for l in range(k + 1):
+                    if res.signaling.parts[(k, l)]:
+                        own, w, own_parts, w_parts = _receive_tables(cfg, res.signaling, k, l)
+                        subblocks.append(
+                            (k, l, own.tobytes(), w.tobytes(),
+                             tuple(p.order_bits for p in own_parts),
+                             tuple(p.order_bits for p in w_parts))
+                        )
+        assert len(sampled) == len(set(subblocks)) < len(subblocks)
+
+
+def enumerated(cfg):
+    return [(f"alloc_{i:02d}", a, None) for i, a in enumerate(enumerate_allocations(cfg))]
+
+
+def count_estimates(monkeypatch):
+    """Wrap the sweep's estimate_stats; the list gets (k, l, stats) per call."""
+    calls = []
+    true_estimate = fblrate.estimate_stats
+
+    def counting(cfg, sig, k, l, *args):
+        calls.append((k, l, true_estimate(cfg, sig, k, l, *args)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(fblrate, "estimate_stats", counting)
+    return calls
