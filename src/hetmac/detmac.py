@@ -5,13 +5,13 @@ pipe"); the channel drops the levels below the noise floor by a down
 shift.  Achievable TIN rates reduce to rank identities, so everything
 here is small dense GF(2) linear algebra with bit-packed rows.
 
-achieved_rates packs each component's rows straight from the witness
-blocks: block row j of user k lands on word row depth - 1 of k's j-th
-depth, at k's column offset.  The depths come from component_layout once
-per (allocation, scheme) and are shared by every witness.  The ranks of
-the packed words still prove that the users' windows are disjoint.
-component_generators and build_generator build the same generators as
-F2Matrix objects for the library and the test oracles.
+component_layout is the one home of the tail-sum rule and of bit
+placement, and _component_rows reads the word row (depth - 1) of every
+bit off its layout.  The generators and the rank rows both come from
+that map: component_generators places block rows there, less the TIN
+shift, as F2Matrix objects, and achieved_rates packs them straight into
+words at each user's column offset, once per (allocation, scheme) for
+all witnesses.  The ranks still prove that the windows are disjoint.
 """
 
 from __future__ import annotations
@@ -188,6 +188,22 @@ class ComponentFeasibility:
         return self.slack >= 0
 
 
+def _column(cfg: DetConfig, l: int) -> list[int]:
+    """Component l's column of the table: m[k][l] for users k = l..K-1."""
+    return [cfg.m[k][l] for k in range(l, cfg.users)]
+
+
+def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, int, int]:
+    """(first_user, load, capacity) of component l's tail with the least slack,
+    ties going to the smallest user; m_col covers users l..K-1."""
+    load, best = 0, None
+    for k in range(len(n) - 1, l - 1, -1):
+        load += m_col[k - l]
+        if best is None or n[k] - load <= best[2] - best[1]:
+            best = (k, load, n[k])
+    return best
+
+
 def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
     """Every tail-sum constraint of every component, reduced to the binding one.
 
@@ -196,14 +212,10 @@ def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
     layered constructions below to exist.  Each component reports its
     tail with the least slack, ties going to the smallest user.
     """
-    out = []
-    for l in range(cfg.users):
-        tails = [
-            ComponentFeasibility(l, k, sum(cfg.m[i][l] for i in range(k, cfg.users)), cfg.n[k])
-            for k in range(l, cfg.users)
-        ]
-        out.append(min(tails, key=lambda c: c.slack))
-    return tuple(out)
+    return tuple(
+        ComponentFeasibility(l, *_binding_tail(cfg.n, _column(cfg, l), l))
+        for l in range(cfg.users)
+    )
 
 
 def allocation_feasible(cfg: DetConfig) -> bool:
@@ -219,6 +231,9 @@ def component_layout(
     Depths count down from the top of the component's level range
     (depth 0 = strongest level, n[component] = noise floor); user k's
     bits must all lie below its own ceiling depth n[component] - n[k].
+    The binding tail-sum check up front is the only feasibility test:
+    once every tail fits, the weaker users hold at most n[k] - m[k] of
+    the n[k] depths below k's ceiling, so k's bits always find room.
 
     scheme_type 1 stacks the blocks bottom-anchored by suffix sums, so
     the occupied depths are the deepest ones.  scheme_type 2 anchors
@@ -226,41 +241,34 @@ def component_layout(
     between the user's ceiling and the next user's sits flush at the
     slot's bottom edge; overflow spills into the shallowest depths below
     the slot that the weaker users have left free, each run of
-    consecutive depths its own window.  Both rules keep all windows
-    disjoint for every allocation meeting the tail-sum constraints.
+    consecutive depths its own window.  Both keep the windows disjoint.
     """
     K = len(n)
     nl = n[component]
     if len(m_col) != K - component:
         raise ValueError("m_col must cover users component..K-1")
-    mm = {k: m_col[k - component] for k in range(component, K)}
+    if scheme_type not in (1, 2):
+        raise ValueError("scheme_type must be 1 or 2")
+    first, load, capacity = _binding_tail(n, m_col, component)
+    if load > capacity:
+        raise InfeasibleAllocationError(
+            f"component {component + 1}: users {first + 1}.. load {load} exceeds level {capacity}"
+        )
     out: dict[int, list[tuple[int, int]]] = {}
-
     if scheme_type == 1:
         tail = 0
         for k in range(K - 1, component - 1, -1):
-            m = mm[k]
-            start = nl - tail - m
-            if start < nl - n[k]:
-                raise InfeasibleAllocationError(
-                    f"component {component}: user {k} window rises above its level"
-                )
-            out[k] = [(start, nl - tail)] if m else []
+            m = m_col[k - component]
+            out[k] = [(nl - tail - m, nl - tail)] if m else []
             tail += m
         return out
 
-    if scheme_type != 2:
-        raise ValueError("scheme_type must be 1 or 2")
     taken: set[int] = set()
     for k in range(K - 1, component - 1, -1):
-        m, ceiling = mm[k], nl - n[k]
+        m, ceiling = m_col[k - component], nl - n[k]
         slot_end = min(ceiling + m, nl) if k == K - 1 else nl - n[k + 1]
         a = min(m, slot_end - ceiling)
         spill = [d for d in range(slot_end + 1, nl + 1) if d not in taken][: m - a]
-        if len(spill) < m - a:
-            raise InfeasibleAllocationError(
-                f"component {component}: no room for user {k}'s {m} bits"
-            )
         taken.update(range(slot_end - a + 1, slot_end + 1), spill)
         # each run of consecutive spill depths is its own window, never merged with the slot
         runs: list[tuple[int, int]] = []
@@ -273,45 +281,14 @@ def component_layout(
     return out
 
 
-def _place_block(
-    cfg: DetConfig,
-    k: int,
-    component: int,
-    fragments: Sequence[tuple[int, int]],
-    f_block: F2Matrix | None,
-) -> F2Matrix:
-    """User k's generator: f_block's rows on the depth windows fragments."""
-    mk = cfg.m[k][component]
-    f = F2Matrix.identity(mk) if f_block is None else f_block
-    if (f.rows, f.cols) != (mk, mk):
-        raise ValueError(f"F block must be {mk}x{mk}")
-    shift = cfg.n[component] - cfg.n[k]
-    rows = [0] * cfg.n[component]
-    used = 0
-    for start, end in fragments:
-        for depth in range(start + 1, end + 1):
-            rows[depth - 1 - shift] = f.bits[used]
-            used += 1
-    return F2Matrix(cfg.n[component], mk, tuple(rows))
-
-
-def build_generator(
-    cfg: DetConfig, k: int, component: int, scheme_type: int, f_block: F2Matrix | None = None
-) -> F2Matrix:
-    """Generator of user k in one component: the full-rank block f_block
-    (default identity, the simplest witness) placed on the user's depth
-    windows from component_layout, zero rows elsewhere.
-
-    scheme_type 1 gives [zeros; F; zeros; zeros], the block directly
-    above the weaker users' windows; scheme_type 2 fills the user's
-    exclusive level slot and splits any overflow off below the weaker
-    users' windows.
-    """
-    if not 0 <= component <= k < cfg.users:
-        raise ValueError("need component <= user < K")
-    m_col = [cfg.m[i][component] for i in range(component, cfg.users)]
-    fragments = component_layout(cfg.n, m_col, component, scheme_type)[k]
-    return _place_block(cfg, k, component, fragments, f_block)
+def _component_rows(
+    n: Sequence[int], m_col: Sequence[int], l: int, scheme_type: int
+) -> tuple[tuple[int, ...], ...]:
+    """Word row of each bit in component l: [k - l][j] = depth - 1 of user k's j-th depth."""
+    layout = component_layout(n, m_col, l, scheme_type)
+    return tuple(
+        tuple(d for start, end in layout[k] for d in range(start, end)) for k in range(l, len(n))
+    )
 
 
 def component_generators(
@@ -320,13 +297,40 @@ def component_generators(
     scheme_type: int = 1,
     f_blocks: Mapping[int, F2Matrix] | None = None,
 ) -> dict[int, F2Matrix]:
-    """Generators for every user active in the given component."""
-    m_col = [cfg.m[i][component] for i in range(component, cfg.users)]
-    layout = component_layout(cfg.n, m_col, component, scheme_type)
-    return {
-        k: _place_block(cfg, k, component, layout[k], f_blocks.get(k) if f_blocks else None)
-        for k in range(component, cfg.users)
-    }
+    """Generators for every user active in the given component: row j of
+    user k's full-rank block f_blocks[k] (default identity, the simplest
+    witness) on row depth - 1 - (n_l - n_k) of k's j-th depth, zeros elsewhere."""
+    nl = cfg.n[component]
+    rows = _component_rows(cfg.n, _column(cfg, component), component, scheme_type)
+    out = {}
+    for k, depths in enumerate(rows, component):
+        mk = cfg.m[k][component]
+        f = f_blocks.get(k) if f_blocks else None
+        f = F2Matrix.identity(mk) if f is None else f
+        if (f.rows, f.cols) != (mk, mk):
+            raise ValueError(f"F block must be {mk}x{mk}")
+        words = [0] * nl
+        shift = nl - cfg.n[k]
+        for r, b in zip(depths, f.bits):
+            words[r - shift] = b
+        out[k] = F2Matrix(nl, mk, tuple(words))
+    return out
+
+
+def build_generator(
+    cfg: DetConfig, k: int, component: int, scheme_type: int, f_block: F2Matrix | None = None
+) -> F2Matrix:
+    """Generator of user k in one component, as component_generators builds it.
+
+    scheme_type 1 gives [zeros; F; zeros; zeros], the block directly
+    above the weaker users' windows; scheme_type 2 fills the user's
+    exclusive level slot and splits any overflow off below the weaker
+    users' windows.
+    """
+    if not 0 <= component <= k < cfg.users:
+        raise ValueError("need component <= user < K")
+    blocks = None if f_block is None else {k: f_block}
+    return component_generators(cfg, component, scheme_type, blocks)[k]
 
 
 def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]:
@@ -379,22 +383,16 @@ def det_mutual_info(
 
 @functools.lru_cache(maxsize=8)
 def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Packed word row of each bit: [l][k - l][j] = depth - 1 of user k's j-th depth.
+    """_component_rows of every component: [l][k - l][j] = depth - 1 of user k's j-th depth.
 
-    _place_block puts block row j at generator row depth - 1 - (n_l - n_k)
-    and the TIN shift moves it down by n_l - n_k, so the two cancel.  The
-    rows depend only on (allocation, scheme), so det-verify's witnesses
-    of one scheme share them.
+    component_generators puts block row j at generator row depth - 1 -
+    (n_l - n_k) and the TIN shift moves it down by n_l - n_k, so the two
+    cancel.  The rows depend only on (allocation, scheme), so det-verify's
+    witnesses of one scheme share them.
     """
-    out = []
-    for l in range(cfg.users):
-        m_col = [cfg.m[i][l] for i in range(l, cfg.users)]
-        layout = component_layout(cfg.n, m_col, l, scheme_type)
-        out.append(tuple(
-            tuple(d for start, end in layout[k] for d in range(start, end))
-            for k in range(l, cfg.users)
-        ))
-    return tuple(out)
+    return tuple(
+        _component_rows(cfg.n, _column(cfg, l), l, scheme_type) for l in range(cfg.users)
+    )
 
 
 def achieved_rates(

@@ -18,6 +18,7 @@ from statistics import NormalDist
 from typing import Sequence
 
 from .config import ChannelConfig
+from .errors import InfeasibleAllocationError, UnsupportedOrderError
 from .infodensity import LOG2_E, DensityStats, estimate_stats, tin_sinr
 from .pipeline import BitAllocation
 from .signaling import SchemeSignaling, build_scheme, schemes_identical
@@ -263,7 +264,9 @@ def rate_region_sweep(
     allocations holds (id, BitAllocation, pinned) triples; a pinned "1"
     or "2" replaces scheme_types for that allocation, and None keeps it.
     With 'both', an allocation whose two layerings yield identical
-    signaling is reported once with label '1&2'.  Each distinct (k, l,
+    signaling is reported once with label '1&2'.  An allocation that
+    build_scheme rejects raises its error with "allocation <id>: " in
+    front, so a message names it among many.  Each distinct (k, l,
     parts of users l..K-1 in sub-block l) is estimated once and its
     DensityStats reused: the stream and the tables depend only on those.
     """
@@ -278,7 +281,10 @@ def rate_region_sweep(
     results = []
     for alloc_id, alloc, pinned in allocations:
         wanted = {"1": (1,), "2": (2,), "both": (1, 2)}[pinned or scheme_types]
-        built = {t: build_scheme(cfg, replace(alloc, scheme_type=t)) for t in wanted}
+        try:
+            built = {t: build_scheme(cfg, replace(alloc, scheme_type=t)) for t in wanted}
+        except (InfeasibleAllocationError, UnsupportedOrderError) as exc:
+            raise type(exc)(f"allocation {alloc_id}: {exc}") from exc
         if len(wanted) == 2 and schemes_identical(built[1], built[2]):
             variants = [("1&2", built[1])]
         else:

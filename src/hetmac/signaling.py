@@ -18,11 +18,7 @@ import numpy as np
 
 from . import detmac
 from .config import ChannelConfig
-from .errors import (
-    ConstellationTooLargeError,
-    InfeasibleAllocationError,
-    UnsupportedOrderError,
-)
+from .errors import ConstellationTooLargeError, UnsupportedOrderError
 from .pipeline import BitAllocation
 
 DEFAULT_POINT_CAP = 1 << 20
@@ -180,18 +176,14 @@ def iq_indices(flat: np.ndarray, parts: Sequence[ScaledPart]) -> tuple[np.ndarra
 def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
     """Translate a feasible bit allocation into scaled QAM signaling.
 
-    Raises InfeasibleAllocationError when any tail-sum constraint of the
-    layered region is violated (detmac.verify_region).
+    detmac.component_layout raises InfeasibleAllocationError at the first
+    component whose column breaks a tail-sum constraint of the layered
+    region.
     """
     m = alloc.m
     K = cfg.users
-    for comp in detmac.verify_region(detmac.DetConfig(cfg.n, m)):
-        if not comp.feasible:
-            raise InfeasibleAllocationError(
-                f"component {comp.component}: users {comp.first_user}.. "
-                f"load {comp.load} exceeds level {comp.capacity}"
-            )
-
+    if len(m) != K:
+        raise ValueError("allocation table must have one row per user")
     layouts = [
         detmac.component_layout(cfg.n, [m[i][l] for i in range(l, K)], l, alloc.scheme_type)
         for l in range(K)
@@ -205,7 +197,8 @@ def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
             order = end - start
             if order % 2 != 0:  # possible only for scheme 2 with odd level gaps
                 raise UnsupportedOrderError(
-                    f"user {k}, sub-block {l}: layered window of {order} bits has no square QAM"
+                    f"user {k + 1}, sub-block {l + 1}: "
+                    f"layered window of {order} bits has no square QAM"
                 )
             layout.append((order, (cfg.n[l] - math.log2(cfg.snr[k])) + (cfg.n[l] - end)))
     energies = {

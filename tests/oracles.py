@@ -172,7 +172,9 @@ def component_layout_depthwise(n, m_col, component: int) -> dict:
     The reference for detmac.component_layout(..., scheme_type=2): each
     user, weakest first, fills its exclusive slot flush at the bottom,
     then marks the shallowest free depths below the slot one by one,
-    closing a window whenever a taken depth interrupts the run.
+    closing a window whenever a taken depth interrupts the run.  A user
+    left without room raises InfeasibleAllocationError naming the
+    binding tail, found by summing every tail afresh.
     """
     K = len(n)
     nl = n[component]
@@ -211,11 +213,20 @@ def component_layout_depthwise(n, m_col, component: int) -> dict:
                 run_start = None
             d += 1
         if rest > 0:
-            raise InfeasibleAllocationError(
-                f"component {component}: no room for user {k}'s {m} bits"
-            )
+            raise InfeasibleAllocationError(_binding_tail_text(n, m_col, component))
         out[k] = sorted(fragments)
     return out
+
+
+def _binding_tail_text(n, m_col, component: int) -> str:
+    """The infeasibility message naming the tail with the least slack.
+
+    Sums every tail of the column on its own and takes the smallest
+    (slack, user) pair, so ties go to the smallest user.
+    """
+    loads = {k: sum(m_col[k - component:]) for k in range(component, len(n))}
+    _, k = min((n[k] - load, k) for k, load in loads.items())
+    return f"component {component + 1}: users {k + 1}.. load {loads[k]} exceeds level {n[k]}"
 
 
 def enumerate_tables_brute(n: tuple[int, ...], even_only: bool) -> set:

@@ -771,6 +771,36 @@ def test_component_cap_gives_one_message_everywhere(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "snrs, allocation, code, message",
+    [
+        # user 2's tail carries 6 > 4 bits in component 1, numbered as det-verify does
+        (
+            (24.0, 12.0), {"id": "Y", "m": [[2], [6, 0]]}, EXIT_INFEASIBLE,
+            "infeasible allocation: allocation Y: component 1: users 2.. load 6 exceeds level 4",
+        ),
+        # levels (9, 6): scheme 2 gives user 1 the 3-bit slot above user 2's level
+        (
+            (27.0, 18.0), {"id": "O", "m": [[4], [2, 2]], "scheme": 2}, EXIT_CONFIG,
+            "config error: allocation O: user 1, sub-block 1: "
+            "layered window of 3 bits has no square QAM",
+        ),
+    ],
+)
+def test_allocation_errors_name_the_allocation(tmp_path, capsys, snrs, allocation, code, message):
+    payload = base_payload()
+    payload["users"][0]["snr_db"], payload["users"][1]["snr_db"] = snrs
+    # a valid allocation first, so the message must name the one that fails
+    payload["allocations"] = [{"id": "S", "m": [[2], [0, 2]]}, allocation]
+    path = write_scenario(tmp_path, payload)
+    for argv in (
+        ["region", "--out", str(tmp_path / "r.csv")],
+        ["codeparams", "--alloc", allocation["id"]],
+    ):
+        assert main([*argv, "--scenario", path]) == code
+        assert capsys.readouterr().err == message + "\n"
+
+
 class TestCodeparams:
     def test_reference_codeword_lengths(self, tmp_path, capsys):
         code = main(

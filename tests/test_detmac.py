@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -324,6 +325,31 @@ class TestLayout:
         assert outcome(component_layout, n, m_col, l, 2) == outcome(
             component_layout_depthwise, n, m_col, l
         )
+
+    def test_layout_raises_exactly_on_infeasible_columns(self):
+        # every column of 1-3 users with levels 0..6 and entries 0..n_l + 1, both
+        # schemes; a larger entry is infeasible just as n_l + 1 is
+        def layout(*args):
+            try:
+                return component_layout(*args)
+            except InfeasibleAllocationError:
+                return None
+
+        mismatches = []
+        for users in (1, 2, 3):
+            for n in itertools.combinations_with_replacement(range(6, -1, -1), users):
+                for l in range(users):
+                    for m_col in itertools.product(range(n[l] + 2), repeat=users - l):
+                        m = tuple(
+                            tuple(m_col[k - l] if j == l else 0 for j in range(k + 1))
+                            for k in range(users)
+                        )
+                        feasible = verify_region(DetConfig(n, m))[l].feasible
+                        got = [layout(n, m_col, l, scheme_type) for scheme_type in (1, 2)]
+                        want = component_layout_depthwise(n, m_col, l) if feasible else None
+                        if [g is not None for g in got] != [feasible] * 2 or got[1] != want:
+                            mismatches.append((n, l, m_col))
+        assert mismatches == []
 
     def test_spill_run_is_not_merged_into_the_slot(self):
         # user 1 fills its slot (0, 2] and spills to depth 3, right below the slot

@@ -168,6 +168,11 @@ class TestBuildScheme:
         with pytest.raises(InfeasibleAllocationError):
             build_scheme(two_user_cfg(), BitAllocation(m=((8,), (2, 4))))
 
+    @pytest.mark.parametrize("m", [((4,),), ((4,), (0, 4), (0, 0, 0))])
+    def test_row_count_must_match_users(self, m):
+        with pytest.raises(ValueError, match="allocation table must have one row per user"):
+            build_scheme(two_user_cfg(), BitAllocation(m=m))
+
     def test_scheme_identity_matches_reference_points(self):
         cfg = two_user_cfg()
         same = {"A": ((8,), (0, 0)), "B": ((8,), (0, 4)), "E": ((4,), (4, 4)),
