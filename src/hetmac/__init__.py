@@ -6,15 +6,10 @@ from .config import ChannelConfig, UserSpec, bit_levels, db_to_linear
 from .detmac import (
     DetConfig,
     F2Matrix,
-    achievability_holds,
     achieved_rates,
     allocation_feasible,
-    build_generator,
-    component_generators,
-    det_mutual_info,
     random_full_rank,
     rank_f2,
-    shift_matrix,
     verify_region,
 )
 from .fblrate import (

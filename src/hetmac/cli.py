@@ -44,6 +44,9 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VIOLATION = 4
 
+# random full-rank witnesses det-verify draws per scheme, after the identity
+_WITNESS_TRIALS = 3
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -282,7 +285,7 @@ def cmd_region(scenario: Scenario, out_path: str, workers: int = 1) -> int:
     return EXIT_OK
 
 
-def cmd_det_verify(scenario: Scenario, trials: int = 3) -> int:
+def cmd_det_verify(scenario: Scenario) -> int:
     cfg = scenario.channel()
     allocations = _scenario_allocations(scenario, cfg)
     status = EXIT_OK
@@ -308,7 +311,7 @@ def cmd_det_verify(scenario: Scenario, trials: int = 3) -> int:
                     for l in range(det.users)
                     for k in range(l, det.users)
                 }
-                for _ in range(trials)
+                for _ in range(_WITNESS_TRIALS)
             ]
             for f_blocks in witnesses:
                 rates = detmac.achieved_rates(det, scheme_type, f_blocks)

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .errors import ConfigError
 
 _INT_SNAP = 1e-9  # tolerance for log2(SNR) landing on an integer
+# the largest bit level whose layered energies 2.0**e stay finite floats
+MAX_BIT_LEVEL = 1023
 
 
 def bit_levels(snr: float) -> int:
@@ -105,6 +107,13 @@ class ChannelConfig:
             key=lambda i: (-resolved[i][2], users[i].blocklength, i),
         )
         snr = tuple(resolved[i][2] for i in key)
+        for i, (_, _, s) in enumerate(resolved):
+            level = bit_levels(s)
+            if level > MAX_BIT_LEVEL:
+                raise ConfigError(
+                    f"users[{i}]: SNR of {10.0 * math.log10(s):.6g} dB needs "
+                    f"{level} bit levels, more than the {MAX_BIT_LEVEL} supported"
+                )
         return cls(
             snr=snr,
             P=tuple(resolved[i][0] for i in key),

@@ -6,12 +6,12 @@ shift.  Achievable TIN rates reduce to rank identities, so everything
 here is small dense GF(2) linear algebra with bit-packed rows.
 
 component_layout is the one home of the tail-sum rule and of bit
-placement, and _component_rows reads the word row (depth - 1) of every
-bit off its layout.  The generators and the rank rows both come from
-that map: component_generators places block rows there, less the TIN
-shift, as F2Matrix objects, and achieved_rates packs them straight into
-words at each user's column offset, once per (allocation, scheme) for
-all witnesses.  The ranks still prove that the windows are disjoint.
+placement, and _depth_rows reads the word row (depth - 1) of every bit
+off its layout, once per (allocation, scheme) for all witnesses.
+achieved_rates packs each user's full-rank block straight into those
+rows at its column offset, which is the shifted generator matrix
+without building it; the ranks of the words still prove that the
+windows are disjoint.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .errors import InfeasibleAllocationError
 
 @dataclass(frozen=True)
 class F2Matrix:
-    """Dense GF(2) matrix; bits[i] packs row i with bit j = column j."""
+    """Dense GF(2) matrix, the type of a full-rank witness block; bits[i]
+    packs row i with bit j = column j."""
 
     rows: int
     cols: int
@@ -39,57 +40,6 @@ class F2Matrix:
             raise ValueError("bits must hold one word per row")
         if self.bits and (min(self.bits) < 0 or max(self.bits) >> self.cols):
             raise ValueError("row word has bits beyond the column count")
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "F2Matrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        words = []
-        for r in rows:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            words.append(sum((int(v) & 1) << j for j, v in enumerate(r)))
-        return cls(len(rows), cols, tuple(words))
-
-    def to_rows(self) -> list[list[int]]:
-        return [[(w >> j) & 1 for j in range(self.cols)] for w in self.bits]
-
-    def hstack(self, other: "F2Matrix") -> "F2Matrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        shift = self.cols
-        merged = tuple(a | (b << shift) for a, b in zip(self.bits, other.bits))
-        return F2Matrix(self.rows, self.cols + other.cols, merged)
-
-    def matmul(self, other: "F2Matrix") -> "F2Matrix":
-        """GF(2) product self @ other."""
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        out = []
-        for w in self.bits:
-            acc = 0
-            j = 0
-            while w:
-                if w & 1:
-                    acc ^= other.bits[j]
-                w >>= 1
-                j += 1
-            out.append(acc)
-        return F2Matrix(self.rows, other.cols, tuple(out))
-
-    def shifted_down(self, s: int) -> "F2Matrix":
-        """Rows moved down by s; the bottom s rows are truncated."""
-        if not 0 <= s <= self.rows:
-            raise ValueError("shift outside [0, rows]")
-        return F2Matrix(self.rows, self.cols, (0,) * s + self.bits[: self.rows - s])
 
 
 def _rank_words(words: Iterable[int]) -> int:
@@ -116,13 +66,6 @@ def _rank_words(words: Iterable[int]) -> int:
 def rank_f2(m: F2Matrix) -> int:
     """Rank over GF(2) of the matrix's row words."""
     return _rank_words(m.bits)
-
-
-def shift_matrix(q: int, s: int) -> F2Matrix:
-    """q x q down-shift: left-multiplying moves a column vector down s levels."""
-    if not 0 <= s <= q:
-        raise ValueError("shift must satisfy 0 <= s <= q")
-    return F2Matrix(q, q, tuple((1 << (i - s)) if i >= s else 0 for i in range(q)))
 
 
 def random_full_rank(n: int, rng: random.Random) -> F2Matrix:
@@ -281,58 +224,6 @@ def component_layout(
     return out
 
 
-def _component_rows(
-    n: Sequence[int], m_col: Sequence[int], l: int, scheme_type: int
-) -> tuple[tuple[int, ...], ...]:
-    """Word row of each bit in component l: [k - l][j] = depth - 1 of user k's j-th depth."""
-    layout = component_layout(n, m_col, l, scheme_type)
-    return tuple(
-        tuple(d for start, end in layout[k] for d in range(start, end)) for k in range(l, len(n))
-    )
-
-
-def component_generators(
-    cfg: DetConfig,
-    component: int,
-    scheme_type: int = 1,
-    f_blocks: Mapping[int, F2Matrix] | None = None,
-) -> dict[int, F2Matrix]:
-    """Generators for every user active in the given component: row j of
-    user k's full-rank block f_blocks[k] (default identity, the simplest
-    witness) on row depth - 1 - (n_l - n_k) of k's j-th depth, zeros elsewhere."""
-    nl = cfg.n[component]
-    rows = _component_rows(cfg.n, _column(cfg, component), component, scheme_type)
-    out = {}
-    for k, depths in enumerate(rows, component):
-        mk = cfg.m[k][component]
-        f = f_blocks.get(k) if f_blocks else None
-        f = F2Matrix.identity(mk) if f is None else f
-        if (f.rows, f.cols) != (mk, mk):
-            raise ValueError(f"F block must be {mk}x{mk}")
-        words = [0] * nl
-        shift = nl - cfg.n[k]
-        for r, b in zip(depths, f.bits):
-            words[r - shift] = b
-        out[k] = F2Matrix(nl, mk, tuple(words))
-    return out
-
-
-def build_generator(
-    cfg: DetConfig, k: int, component: int, scheme_type: int, f_block: F2Matrix | None = None
-) -> F2Matrix:
-    """Generator of user k in one component, as component_generators builds it.
-
-    scheme_type 1 gives [zeros; F; zeros; zeros], the block directly
-    above the weaker users' windows; scheme_type 2 fills the user's
-    exclusive level slot and splits any overflow off below the weaker
-    users' windows.
-    """
-    if not 0 <= component <= k < cfg.users:
-        raise ValueError("need component <= user < K")
-    blocks = None if f_block is None else {k: f_block}
-    return component_generators(cfg, component, scheme_type, blocks)[k]
-
-
 def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]:
     """rank(all) - rank(all but k) for every user k of one component.
 
@@ -352,47 +243,24 @@ def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]
     return rates
 
 
-def det_mutual_info(
-    cfg: DetConfig, generators: Mapping[int, F2Matrix], k: int, component: int
-) -> int:
-    """TIN rate of user k in one component: rank(all) - rank(interferers).
-
-    Each generator is shifted down by n_l - n_u and packed at its column
-    offset, users in ascending order, before the one rank routine runs.
-    """
-    if k not in generators:
-        raise ValueError(f"no generator for user {k}")
-    nl = cfg.n[component]
-    words = [0] * nl
-    masks = {}
-    offset = 0
-    for user in sorted(generators):
-        g = generators[user]
-        if g.rows != nl:
-            raise ValueError(f"generator for user {user} has {g.rows} rows, expected {nl}")
-        shift = nl - cfg.n[user]
-        if not 0 <= shift <= nl:
-            raise ValueError("shift outside [0, rows]")
-        for r, b in enumerate(g.bits[: nl - shift], shift):
-            if b:
-                words[r] |= b << offset
-        masks[user] = ((1 << g.cols) - 1) << offset
-        offset += g.cols
-    return _tin_ranks(words, masks)[k]
-
-
 @functools.lru_cache(maxsize=8)
 def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """_component_rows of every component: [l][k - l][j] = depth - 1 of user k's j-th depth.
+    """Word row of every bit: [l][k - l][j] = depth - 1 of user k's j-th depth in component l.
 
-    component_generators puts block row j at generator row depth - 1 -
-    (n_l - n_k) and the TIN shift moves it down by n_l - n_k, so the two
-    cancel.  The rows depend only on (allocation, scheme), so det-verify's
-    witnesses of one scheme share them.
+    A generator in user k's own frame would hold block row j at row
+    depth - 1 - (n_l - n_k), and the channel's down shift by n_l - n_k
+    moves it back to depth - 1, so the received rows are read off the
+    layout directly.  The rows depend only on (allocation, scheme), so
+    det-verify's witnesses of one scheme share them.
     """
-    return tuple(
-        _component_rows(cfg.n, _column(cfg, l), l, scheme_type) for l in range(cfg.users)
-    )
+    out = []
+    for l in range(cfg.users):
+        layout = component_layout(cfg.n, _column(cfg, l), l, scheme_type)
+        out.append(tuple(
+            tuple(d for start, end in layout[k] for d in range(start, end))
+            for k in range(l, cfg.users)
+        ))
+    return tuple(out)
 
 
 def achieved_rates(
@@ -428,13 +296,3 @@ def achieved_rates(
         for k, r in _tin_ranks(words, masks).items():
             rates[(k, l)] = r
     return rates
-
-
-def achievability_holds(
-    cfg: DetConfig,
-    scheme_type: int = 1,
-    f_blocks: Mapping[tuple[int, int], F2Matrix] | None = None,
-) -> bool:
-    """True when every pair attains exactly its allocated bit count."""
-    rates = achieved_rates(cfg, scheme_type, f_blocks)
-    return all(rates[(k, l)] == cfg.m[k][l] for (k, l) in rates)

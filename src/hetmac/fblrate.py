@@ -264,11 +264,13 @@ def rate_region_sweep(
     allocations holds (id, BitAllocation, pinned) triples; a pinned "1"
     or "2" replaces scheme_types for that allocation, and None keeps it.
     With 'both', an allocation whose two layerings yield identical
-    signaling is reported once with label '1&2'.  An allocation that
-    build_scheme rejects raises its error with "allocation <id>: " in
-    front, so a message names it among many.  Each distinct (k, l,
-    parts of users l..K-1 in sub-block l) is estimated once and its
-    DensityStats reused: the stream and the tables depend only on those.
+    signaling is reported once with label '1&2', and one whose scheme-2
+    layering has an odd window (no square QAM) with its scheme-1 row
+    only.  Any other allocation that build_scheme rejects raises its
+    error with "allocation <id>: " in front, so a message names it
+    among many.  Each distinct (k, l, parts of users l..K-1 in
+    sub-block l) is estimated once and its DensityStats reused: the
+    stream and the tables depend only on those.
     """
     memo: dict[tuple, DensityStats] = {}
 
@@ -281,14 +283,18 @@ def rate_region_sweep(
     results = []
     for alloc_id, alloc, pinned in allocations:
         wanted = {"1": (1,), "2": (2,), "both": (1, 2)}[pinned or scheme_types]
-        try:
-            built = {t: build_scheme(cfg, replace(alloc, scheme_type=t)) for t in wanted}
-        except (InfeasibleAllocationError, UnsupportedOrderError) as exc:
-            raise type(exc)(f"allocation {alloc_id}: {exc}") from exc
-        if len(wanted) == 2 and schemes_identical(built[1], built[2]):
+        built = {}
+        for t in wanted:
+            try:
+                built[t] = build_scheme(cfg, replace(alloc, scheme_type=t))
+            except (InfeasibleAllocationError, UnsupportedOrderError) as exc:
+                if isinstance(exc, UnsupportedOrderError) and 1 in built:
+                    continue  # 'both' keeps scheme 1 when a scheme-2 window is odd
+                raise type(exc)(f"allocation {alloc_id}: {exc}") from exc
+        if len(built) == 2 and schemes_identical(built[1], built[2]):
             variants = [("1&2", built[1])]
         else:
-            variants = [(str(t), built[t]) for t in wanted]
+            variants = [(str(t), sig) for t, sig in built.items()]
         for label, sig in variants:
             reports = tuple(
                 build_rate_report(cfg, [stats(sig, k, l) for l in range(k + 1)], k)

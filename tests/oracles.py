@@ -5,11 +5,12 @@ information oracle integrates with Gauss-Hermite quadrature instead of
 Monte Carlo, the density oracle sums over the 2-D alphabets instead of
 the library's separable I/Q rails, the rank oracle enumerates row
 subsets, the scheme-2 layout oracle walks one depth at a time, the
-deterministic TIN-rate oracle shifts and concatenates generator
-matrices instead of packing one set of row words, the lattice oracle
-enumerates allocation tables by brute force, the distance oracle
-compares every pair of points, and the constellation oracles sort and
-compare 2-D complex points instead of the library's 1-D rails.
+deterministic TIN-rate oracle builds 0/1 generator rows from its own
+layouts, then shifts and concatenates them instead of packing one set
+of row words, the lattice oracle enumerates allocation tables by brute
+force, the distance oracle compares every pair of points, and the
+constellation oracles sort and compare 2-D complex points instead of
+the library's 1-D rails.  None of them calls into hetmac.detmac.
 """
 
 from __future__ import annotations
@@ -142,26 +143,56 @@ def rank_by_subsets(rows: list[list[int]]) -> int:
     return int(math.log2(len(span)))
 
 
-def det_mutual_info_concat(cfg, generators: dict, k: int, component: int) -> int:
+def generator_rows(n, m, component: int, scheme_type: int, blocks=None) -> dict:
+    """0/1 generator rows of every user in one component, in the generator frame.
+
+    m is the full allocation table and blocks maps user k to its m_k x m_k
+    0/1 block (identity when absent).  Block row j of user k lands on
+    row d - 1 - (n[component] - n[k]) of an n[component]-row matrix, d
+    being k's j-th depth: scheme 1 stacks the users bottom-anchored by
+    suffix sums, weakest deepest; scheme 2 takes the depths of
+    component_layout_depthwise.  Callers pass feasible tables.
+    """
+    nl = n[component]
+    users = range(component, len(n))
+    m_col = [m[k][component] for k in users]
+    if scheme_type == 1:
+        depths, tail = {}, 0
+        for k in reversed(users):
+            mk = m[k][component]
+            depths[k] = list(range(nl - tail - mk + 1, nl - tail + 1))
+            tail += mk
+    else:
+        layout = component_layout_depthwise(n, m_col, component)
+        depths = {k: [d for a, b in layout[k] for d in range(a + 1, b + 1)] for k in users}
+    out = {}
+    for k in users:
+        mk = m[k][component]
+        block = (blocks or {}).get(k) or [[int(i == j) for j in range(mk)] for i in range(mk)]
+        rows = [[0] * mk for _ in range(nl)]
+        for d, row in zip(depths[k], block):
+            rows[d - 1 - (nl - n[k])] = list(row)
+        out[k] = rows
+    return out
+
+
+def det_mutual_info_concat(n, generators: dict, k: int, component: int) -> int:
     """TIN rate of user k in one component: rank(all) - rank(interferers).
 
-    Each generator is shifted down by n[component] - n[user] as its own
-    matrix, the shifted matrices are concatenated column-wise in user
-    order, once with and once without user k, and both ranks are taken
-    by subset enumeration.
+    Each generator (0/1 rows, n[component] of them) is shifted down by
+    n[component] - n[user] as its own row list, the shifted lists are
+    concatenated column-wise in user order, once with and once without
+    user k, and both ranks are taken by subset enumeration.
     """
-    shifted = {
-        user: g.shifted_down(cfg.n[component] - cfg.n[user]) for user, g in generators.items()
-    }
+    nl = n[component]
+    shifted = {}
+    for user, rows in generators.items():
+        s = nl - n[user]
+        shifted[user] = [[0] * len(rows[0]) for _ in range(s)] + rows[: nl - s]
 
     def concat_rank(users) -> int:
-        mats = [shifted[u] for u in sorted(users)]
-        if not mats:
-            return 0
-        out = mats[0]
-        for m in mats[1:]:
-            out = out.hstack(m)
-        return rank_by_subsets(out.to_rows())
+        chosen = [shifted[u] for u in sorted(users)]
+        return rank_by_subsets([sum((rows[i] for rows in chosen), []) for i in range(nl)])
 
     return concat_rank(shifted) - concat_rank(u for u in shifted if u != k)
 

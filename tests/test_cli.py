@@ -661,6 +661,28 @@ class TestRegion:
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == GOLDEN_ENUM.read_bytes()
 
+    def test_odd_scheme2_window_keeps_the_scheme1_row_under_both(self, tmp_path, capsys):
+        # levels (9, 6): every allocation whose scheme-2 layering differs puts
+        # an odd 3-bit window on user 1, so 'both' reports its scheme-1 row
+        payload = base_payload()
+        del payload["allocations"]
+        payload["users"][0]["snr_db"], payload["users"][1]["snr_db"] = 27.0, 18.0
+        path = write_scenario(tmp_path, payload)
+
+        def scheme_rows(*scheme):
+            out = tmp_path / "r.csv"
+            assert main(["region", "--scenario", path, "--out", str(out), *scheme]) == EXIT_OK
+            return [ln.split(",") for ln in out.read_text().splitlines() if ln.startswith("scheme,")]
+
+        both, only1 = scheme_rows(), scheme_rows("--scheme", "1")
+        assert [r[1] for r in both] == [r[1] for r in only1] and len(both) == 56
+        assert {r[2] for r in both} == {"1", "1&2"}
+        assert [r[3:] for r in both] == [r[3:] for r in only1]
+        capsys.readouterr()
+        assert main(["region", "--scenario", path, "--out", str(tmp_path / "r.csv"),
+                     "--scheme", "2"]) == EXIT_CONFIG
+        assert "layered window of 3 bits has no square QAM" in capsys.readouterr().err
+
     def test_enumerated_allocations_when_none_fixed(self, tmp_path):
         payload = base_payload()
         del payload["allocations"]
@@ -769,6 +791,36 @@ def test_component_cap_gives_one_message_everywhere(tmp_path, capsys):
         errors.append(capsys.readouterr().err)
     assert errors == ["error: superimposed cardinality exceeds cap 1048576\n"] * 3
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("m", [[[1024]], [[2]]])
+def test_snr_above_the_largest_bit_level_is_rejected(tmp_path, capsys, m):
+    # 3080 dB is bit level 1024, where 2.0**e energies overflow; 3079 dB is 1023
+    payload = base_payload()
+    payload["users"] = [{"snr_db": 3080.0, "blocklength": 128, "target_eps": 1e-6}]
+    payload["allocations"] = [{"id": "X", "m": m}]
+    path = write_scenario(tmp_path, payload)
+    for argv in (
+        ["region", "--out", str(tmp_path / "r.csv")],
+        ["codeparams", "--alloc", "X"],
+        ["constellation", "--alloc", "X", "--component", "1", "--out", str(tmp_path / "p.csv"),
+         "--scheme", "2"],
+    ):
+        assert main([*argv, "--scenario", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: users[0]: SNR of 3080 dB needs 1024 bit levels, "
+            "more than the 1023 supported\n"
+        )
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+def test_largest_bit_level_still_runs(tmp_path):
+    payload = base_payload()
+    payload["users"] = [{"snr_db": 3079.0, "blocklength": 128, "target_eps": 1e-6}]
+    payload["allocations"] = [{"id": "X", "m": [[2]]}]
+    path, out = write_scenario(tmp_path, payload), tmp_path / "r.csv"
+    assert main(["region", "--scenario", path, "--out", str(out)]) == EXIT_OK
+    assert "scheme,X,1&2,2,2,2,0,1,0" in out.read_text().splitlines()
 
 
 @pytest.mark.parametrize(

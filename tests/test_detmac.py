@@ -9,16 +9,12 @@ from hypothesis import strategies as st
 from hetmac.detmac import (
     DetConfig,
     F2Matrix,
-    achievability_holds,
+    _depth_rows,
     achieved_rates,
     allocation_feasible,
-    build_generator,
-    component_generators,
     component_layout,
-    det_mutual_info,
     random_full_rank,
     rank_f2,
-    shift_matrix,
     verify_region,
 )
 from hetmac.errors import InfeasibleAllocationError
@@ -27,6 +23,7 @@ from oracles import (
     component_layout_depthwise,
     det_mutual_info_concat,
     enumerate_tables_brute,
+    generator_rows,
     rank_by_subsets,
 )
 
@@ -61,14 +58,14 @@ def _feasible_levels_and_table(draw):
 
 class TestRank:
     def test_identity(self):
-        assert rank_f2(F2Matrix.identity(3)) == 3
+        assert rank_f2(F2Matrix(3, 3, (1, 2, 4))) == 3
 
     def test_zero(self):
-        assert rank_f2(F2Matrix.zeros(4, 2)) == 0
+        assert rank_f2(F2Matrix(4, 2, (0, 0, 0, 0))) == 0
 
     def test_dependent_rows(self):
-        m = F2Matrix.from_rows([[1, 1], [1, 1], [0, 1]])
-        assert rank_f2(m) == 2
+        # rows [1, 1], [1, 1], [0, 1]
+        assert rank_f2(F2Matrix(3, 2, (3, 3, 2))) == 2
 
     @given(
         st.integers(1, 6),
@@ -79,119 +76,72 @@ class TestRank:
     def test_matches_subset_oracle(self, rows, cols, packed):
         cells = [(packed >> (i * cols + j)) & 1 for i in range(rows) for j in range(cols)]
         mat = [cells[i * cols : (i + 1) * cols] for i in range(rows)]
-        assert rank_f2(F2Matrix.from_rows(mat, cols)) == rank_by_subsets(mat)
-
-
-class TestShift:
-    def test_zero_shift_is_identity(self):
-        assert shift_matrix(3, 0) == F2Matrix.identity(3)
-
-    def test_full_shift_is_zero(self):
-        assert shift_matrix(3, 3) == F2Matrix.zeros(3, 3)
-
-    def test_down_shift_vector(self):
-        v = F2Matrix.from_rows([[1], [0], [1]])
-        out = shift_matrix(3, 1).matmul(v)
-        assert out.to_rows() == [[0], [1], [0]]
-
-    def test_shift_out_of_range(self):
-        with pytest.raises(ValueError):
-            shift_matrix(3, 4)
-
-    @given(st.integers(0, 6), st.integers(0, 6), st.integers(1, 6))
-    @settings(max_examples=100, deadline=None)
-    def test_composition(self, s1, s2, q):
-        s1, s2 = min(s1, q), min(s2, q)
-        lhs = shift_matrix(q, s1).matmul(shift_matrix(q, s2))
-        assert lhs == shift_matrix(q, min(q, s1 + s2))
-
-    def test_shifted_down_matches_matrix_product(self):
-        rng = random.Random(5)
-        g = F2Matrix(6, 3, tuple(rng.getrandbits(3) for _ in range(6)))
-        assert g.shifted_down(2) == shift_matrix(6, 2).matmul(g)
+        words = tuple(sum(b << j for j, b in enumerate(row)) for row in mat)
+        assert rank_f2(F2Matrix(rows, cols, words)) == rank_by_subsets(mat)
 
 
 class TestGenerators:
+    # each user's received rows (depth - 1) in one component; a generator
+    # in user k's own frame would hold them n_l - n_k rows higher
     def test_two_user_layout(self):
         # levels (10, 8) with 6+4 bits filling component 1 exactly
         cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        g1 = build_generator(cfg, 0, 0, 1)
-        assert (g1.rows, g1.cols) == (10, 6)
-        # full-rank block occupies the top six rows, zero rows below
-        assert [g1.bits[i] != 0 for i in range(10)] == [True] * 6 + [False] * 4
-        g21 = build_generator(cfg, 1, 0, 1)
-        assert [g21.bits[i] != 0 for i in range(10)] == [False] * 4 + [True] * 4 + [False] * 2
+        rows_0, rows_1 = _depth_rows(cfg, 1)[0]
+        # user 1's block occupies the top six rows
+        assert rows_0 == (0, 1, 2, 3, 4, 5)
+        # generator rows 4..7 of user 2, shifted down by 10 - 8
+        assert rows_1 == (6, 7, 8, 9)
 
     def test_empty_message(self):
         cfg = DetConfig(n=(10, 8), m=((0,), (4, 8)))
-        g = build_generator(cfg, 0, 0, 1)
-        assert (g.rows, g.cols) == (10, 0)
+        assert _depth_rows(cfg, 1)[0][0] == ()
 
     def test_three_user_disjoint_supports(self):
         cfg = DetConfig(n=(9, 6, 3), m=((3,), (3, 0), (3, 0, 0)))
-        gens = component_generators(cfg, 0, scheme_type=1)
-        shifted = {k: g.shifted_down(cfg.n[0] - cfg.n[k]) for k, g in gens.items()}
-        occupied = []
-        for k, g in shifted.items():
-            occupied.extend(i for i in range(g.rows) if g.bits[i])
+        occupied = [r for rows in _depth_rows(cfg, 1)[0] for r in rows]
         assert len(occupied) == len(set(occupied)) == 9
 
     def test_type2_two_user_split(self):
         cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        g = build_generator(cfg, 0, 0, 2)
         # upper part in the top n1-n2 = 2 rows, lower part below user 2's window
-        nonzero = [i for i in range(10) if g.bits[i]]
-        assert nonzero == [0, 1, 6, 7, 8, 9]
+        assert sorted(_depth_rows(cfg, 2)[0][0]) == [0, 1, 6, 7, 8, 9]
+        assert component_layout(cfg.n, [6, 4], 0, 2)[0] == [(0, 2), (6, 10)]
 
     def test_type2_single_user_is_top_block(self):
         cfg = DetConfig(n=(6,), m=((4,),))
-        g = build_generator(cfg, 0, 0, 2)
-        assert [g.bits[i] != 0 for i in range(6)] == [True] * 4 + [False] * 2
+        assert _depth_rows(cfg, 2) == (((0, 1, 2, 3),),)
 
     def test_type2_full_last_user_has_no_padding(self):
         cfg = DetConfig(n=(6, 4), m=((2,), (0, 4)))
-        g = build_generator(cfg, 1, 1, 2)
-        assert all(g.bits[i] for i in range(4))
+        assert _depth_rows(cfg, 2)[1] == ((0, 1, 2, 3),)
 
     def test_infeasible_allocation_raises(self):
         cfg = DetConfig(n=(3,), m=((4,),))
         with pytest.raises(InfeasibleAllocationError):
-            build_generator(cfg, 0, 0, 1)
+            achieved_rates(cfg, 1)
         with pytest.raises(InfeasibleAllocationError):
-            build_generator(cfg, 0, 0, 2)
+            achieved_rates(cfg, 2)
 
     def test_bad_f_block_shape(self):
         cfg = DetConfig(n=(4,), m=((2,),))
-        with pytest.raises(ValueError):
-            build_generator(cfg, 0, 0, 1, F2Matrix.identity(3))
+        with pytest.raises(ValueError, match="F block must be 2x2"):
+            achieved_rates(cfg, 2, {(0, 0): F2Matrix(2, 3, (1, 2))})
+
+
+def _rows(f: F2Matrix) -> list[list[int]]:
+    return [[(w >> j) & 1 for j in range(f.cols)] for w in f.bits]
 
 
 class TestMutualInfo:
     def test_reference_triple(self):
-        cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        gens0 = component_generators(cfg, 0)
-        assert det_mutual_info(cfg, gens0, 0, 0) == 6
-        assert det_mutual_info(cfg, gens0, 1, 0) == 4
-        gens1 = component_generators(cfg, 1)
-        assert det_mutual_info(cfg, gens1, 1, 1) == 8
-
-    def test_all_zero_generators(self):
-        cfg = DetConfig(n=(5, 4), m=((2,), (2, 1)))
-        gens = {0: F2Matrix.zeros(5, 2), 1: F2Matrix.zeros(5, 2)}
-        assert det_mutual_info(cfg, gens, 0, 0) == 0
-
-    def test_dimension_mismatch(self):
-        cfg = DetConfig(n=(5, 4), m=((2,), (2, 1)))
-        gens = {0: F2Matrix.zeros(4, 2), 1: F2Matrix.zeros(5, 2)}
-        with pytest.raises(ValueError):
-            det_mutual_info(cfg, gens, 0, 0)
-
-    def test_concatenation_rank_is_additive(self):
-        cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        gens = component_generators(cfg, 0)
-        shifted = [gens[k].shifted_down(cfg.n[0] - cfg.n[k]) for k in (0, 1)]
-        combined = shifted[0].hstack(shifted[1])
-        assert rank_f2(combined) == rank_f2(shifted[0]) + rank_f2(shifted[1])
+        # the oracle, on its own layouts, gives the allocated bits
+        n, m = (10, 8), ((6,), (4, 8))
+        for scheme_type in (1, 2):
+            gens0 = generator_rows(n, m, 0, scheme_type)
+            assert det_mutual_info_concat(n, gens0, 0, 0) == 6
+            assert det_mutual_info_concat(n, gens0, 1, 0) == 4
+            gens1 = generator_rows(n, m, 1, scheme_type)
+            assert det_mutual_info_concat(n, gens1, 1, 1) == 8
 
     @given(_feasible_levels_and_table(), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -211,11 +161,12 @@ class TestMutualInfo:
                 rates = achieved_rates(cfg, scheme_type, blocks)
                 assert list(rates) == pairs
                 for l in range(cfg.users):
-                    per_user = None if blocks is None else {k: f for (k, fl), f in blocks.items() if fl == l}
-                    gens = component_generators(cfg, l, scheme_type, per_user)
+                    per_user = None if blocks is None else {
+                        k: _rows(f) for (k, fl), f in blocks.items() if fl == l
+                    }
+                    gens = generator_rows(n, m, l, scheme_type, per_user)
                     for k in range(l, cfg.users):
-                        assert rates[(k, l)] == det_mutual_info_concat(cfg, gens, k, l)
-                        assert det_mutual_info(cfg, gens, k, l) == rates[(k, l)]
+                        assert rates[(k, l)] == det_mutual_info_concat(n, gens, k, l)
 
     def test_witness_stream_is_pinned(self):
         # det-verify's witnesses depend on these getrandbits calls and on
@@ -244,7 +195,8 @@ class TestMutualInfo:
                 for l in range(cfg.users)
                 for k in range(l, cfg.users)
             }
-            assert achievability_holds(cfg, scheme_type, blocks), (cfg.n, cfg.m)
+            rates = achieved_rates(cfg, scheme_type, blocks)
+            assert all(r == cfg.m[k][l] for (k, l), r in rates.items()), (cfg.n, cfg.m)
 
 
 class TestRegion:
@@ -382,4 +334,4 @@ def test_achieved_rates_cover_all_pairs():
 def test_achieved_rates_rejects_a_block_of_the_wrong_shape():
     cfg = DetConfig(n=(10, 8), m=((6,), (2, 8)))
     with pytest.raises(ValueError, match="F block must be 2x2"):
-        achieved_rates(cfg, 1, {(1, 0): F2Matrix.identity(3)})
+        achieved_rates(cfg, 1, {(1, 0): F2Matrix(3, 3, (1, 2, 4))})
