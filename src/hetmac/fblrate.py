@@ -144,7 +144,7 @@ def gaussian_dispersion(sinr: float) -> float:
     the shell-code value (1 - (1+P)^-2) * log2(e)^2 would understate the
     benchmark's second-order penalty by about half at high SNR.
     """
-    return 2.0 * LOG2_E**2 * sinr / (1.0 + sinr)
+    return 2.0 * LOG2_E**2 * (sinr / (1.0 + sinr))
 
 
 def _gaussian_block_rate(

@@ -27,6 +27,24 @@ turns both double sums into products of rail sums, with |A_k| = |R|^2:
 i_1 being the same density on R and V.  A sample costs 2 |R| |V| kernel
 cells instead of |A_k| |W| = |R|^2 |V|^2.
 
+The rail kernel (_density_1d) is grid-major: its one temporary holds
+the |R| |V| rail grid points against a chunk's samples, samples on the
+contiguous axis, and every step is elementwise, an exact min or an
+in-place halving fold (_fold), so a sample's density does not depend on
+the batch it is evaluated in.  At the size cap the temporary is 32 MiB
+and nothing else is of its size.  Shifted exponents below _EXP_FLOOR =
+-700 are raised to it before exp.  exp(-700) ~ 2^-1010 is still a
+normal number, so numpy's exp never takes its slow path for results
+that underflow to subnormals or 0 (about 9% of the lanes of the
+benchmark regions).  A floored lane adds under 2^-1009 to a row sum.
+The denominator's largest term is 1, and the sent row's sum holds at
+least the drawn point's own term exp(-z^2), z a real noise sample, so
+short of |z| near 25 (some 36 standard deviations) the floor's change
+lies far below the last bit of either sum.  On the benchmark regions it
+moved no bit of any chunk.  For an arbitrary y it keeps a density
+finite, about -1010 bits or more, where the unfloored sum underflows
+and the density would be -inf.
+
 Sampling is organized in fixed-size chunks (_CHUNK samples), each
 driven by its own counter-based Philox stream keyed on (task seed, chunk
 index), the task seed being _task_seed(seed, k, l), so results are
@@ -58,6 +76,10 @@ LOG2_E = math.log2(math.e)
 MI_GAP_BITS = math.log2(5.0 * math.pi * math.e / 6.0)
 
 _CHUNK = 4096
+#: Floor of the kernel's shifted exponents: exp(-700) ~ 2^-1010 is normal,
+#: clear of the subnormal results below log(2^-1022) ~ -708.4 that put
+#: numpy's exp on its slow path (module docstring).
+_EXP_FLOOR = -700.0
 #: Fewest Monte Carlo samples estimate_stats accepts.
 MIN_SAMPLES = 10_000
 
@@ -83,40 +105,75 @@ def _task_seed(seed: int, k: int, l: int) -> int:
 
 
 def _receive_tables(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) -> tuple:
-    """(own, w, own_parts, w_parts): one rail of user k's received alphabet
-    and of its interferer multiset in sub-block l.
+    """(own, w, own_iq, w_iq): one rail of user k's received alphabet and
+    of its interferer multiset in sub-block l, and their rail-index tables.
 
     own is h_k times the user's transmit axis and w the Minkowski sum of the
     interferers' h-scaled transmit axes, both with multiplicity and in
-    Minkowski order; the 2-D alphabets are own x own and w x w, and the
-    part tuples locate a 2-D flat index on the rails (iq_indices).  The
-    2-D count |A| * |W| is component l's superimposed cardinality, so the
-    size cap is superimpose's.
+    Minkowski order; the 2-D alphabets are own x own and w x w.  Column i
+    of own_iq (of w_iq) holds the (re, im) rail indices of flat index i
+    into the 2-D alphabet (iq_indices), as uint16: a rail has at most 2^10
+    points.  The 2-D count |A| * |W| is component l's superimposed
+    cardinality, so the size cap is superimpose's, and the two tables hold
+    at most 2^20 + 1 columns together.
     """
     check_component_size(sig, cfg, l, DEFAULT_POINT_CAP)
     interferers = [i for i in range(l, cfg.users) if i != k]
+    own = sig.transmit_axis(k, l) * cfg.h[k]
     w = minkowski_sum((sig.transmit_axis(i, l) * cfg.h[i] for i in interferers), np.float64)
     w_parts = tuple(part for i in interferers for part in sig.parts[(i, l)])
-    return sig.transmit_axis(k, l) * cfg.h[k], w, sig.parts[(k, l)], w_parts
+    return own, w, _iq_table(own.size, sig.parts[(k, l)]), _iq_table(w.size, w_parts)
+
+
+def _iq_table(rail_size: int, parts) -> np.ndarray:
+    flat = np.arange(rail_size**2, dtype=np.uint32)
+    return np.stack(iq_indices(flat, parts)).astype(np.uint16)
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 0 of a, in place, by halving folds; the sum is a[0].
+
+    Each fold adds the top half onto the bottom half, an odd middle row
+    waiting for the next fold.  The order in which one column's entries
+    are added depends only on a.shape[0], never on the other axes, and
+    no temporary is allocated.
+    """
+    m = a.shape[0]
+    while m > 1:
+        h = m // 2
+        a[:h] += a[m - h:m]
+        m -= h
+    return a[0]
 
 
 def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Density in bits of one rail: real samples y, sent rail indices x_idx.
 
-    All samples are evaluated in one pass through one temporary of
-    y.size * |R| * |V| values.  check_component_size keeps |R|^2 |V|^2
-    within 2^20, so |R| |V| <= 2^10, and a call sees at most _CHUNK = 2^12
-    samples: the temporary holds at most 2^22 values, and it is the only
-    one of that size alive.
+    Grid-major: the one temporary ex[a * |V| + b, j] holds the squared
+    distance of sample j to grid point own[a] + w[b], so every pass runs
+    along the contiguous sample axis.  Each column is shifted by its
+    minimum and negated, floored at _EXP_FLOOR and exponentiated, all in
+    place; folding over b gives the per-own-point sums rows[a, j], the
+    sent row's entry is the numerator and folding rows over a the
+    denominator.  Every step is elementwise, an exact min or a fold of
+    adds, so a sample's bits do not depend on the batch it is in.
+
+    check_component_size keeps |R|^2 |V|^2 within 2^20, so |R| |V| <=
+    2^10, and a call sees at most _CHUNK = 2^12 samples: ex holds at most
+    2^22 values (32 MiB), and every other array is the size of one of
+    its rows or columns.
     """
-    grid = own[:, None] + w[None, :]  # received rail points, multiplicity kept
-    # ex[j, a, b] = exp(-(y_j - own_a - w_b)^2), max-shifted before exponentiating
-    ex = y[:, None, None] - grid[None, :, :]
+    n = y.size
+    grid = (own[:, None] + w[None, :]).ravel()  # received rail points, multiplicity kept
+    ex = y[None, :] - grid[:, None]
     ex *= ex
-    ex -= ex.min(axis=(1, 2), keepdims=True)
-    np.exp(np.negative(ex, out=ex), out=ex)
-    num = ex[np.arange(y.size), x_idx, :].sum(axis=1)
-    den = ex.sum(axis=(1, 2)) / own.size
+    # -(d - min d): the max-shifted exponent, 0 at each sample's nearest point
+    np.subtract(ex.min(axis=0), ex, out=ex)
+    np.maximum(ex, _EXP_FLOOR, out=ex)
+    np.exp(ex, out=ex)
+    rows = _fold(ex.reshape(own.size, w.size, n).swapaxes(0, 1))  # (|R|, n)
+    num = rows[x_idx, np.arange(n)]
+    den = _fold(rows) / own.size
     return np.log2(num / den)
 
 
@@ -150,11 +207,12 @@ def information_density(
 def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Received rails y[(re, im), j] and sent rail indices x[(re, im), j] of one chunk.
 
-    u_x and u_w pick flat indices into the Minkowski-ordered 2-D alphabets;
+    u_x and u_w pick flat indices into the Minkowski-ordered 2-D alphabets,
+    which the rail-index tables of _receive_tables map to the rails;
     y[0] + 1j * y[1] is bit for bit the 2-D sum of sent point, interferer
     point and noise.
     """
-    own, w, own_parts, w_parts = tables
+    own, w, own_iq, w_iq = tables
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
     u_x = rng.random(count)
     u_w = rng.random(count)
@@ -162,8 +220,9 @@ def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.nd
     own_size, w_size = own.size**2, w.size**2
     x_idx = np.minimum((u_x * own_size).astype(np.int64), own_size - 1)
     w_idx = np.minimum((u_w * w_size).astype(np.int64), w_size - 1)
-    x = np.stack(iq_indices(x_idx, own_parts))
-    y = own[x] + w[np.stack(iq_indices(w_idx, w_parts))] + noise
+    # take, not fancy indexing: a 2-D fancy gather costs several times more here
+    x = own_iq.take(x_idx, axis=1)
+    y = own.take(x) + w.take(w_iq.take(w_idx, axis=1)) + noise
     return y, x
 
 

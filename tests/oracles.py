@@ -3,14 +3,16 @@
 These deliberately avoid the code paths they validate: the mutual
 information oracle integrates with Gauss-Hermite quadrature instead of
 Monte Carlo, the density oracle sums over the 2-D alphabets instead of
-the library's separable I/Q rails, the rank oracle enumerates row
-subsets, the scheme-2 layout oracle walks one depth at a time, the
-deterministic TIN-rate oracle builds 0/1 generator rows from its own
-layouts, then shifts and concatenates them instead of packing one set
-of row words, the lattice oracle enumerates allocation tables by brute
-force, the distance oracle compares every pair of points, and the
-constellation oracles sort and compare 2-D complex points instead of
-the library's 1-D rails.  None of them calls into hetmac.detmac.
+the library's separable I/Q rails, the one-rail density reference lays
+its temporary out sample-major and reduces with numpy sums instead of
+the library's grid-major folds, the rank oracle enumerates row subsets,
+the scheme-2 layout oracle walks one depth at a time, the deterministic
+TIN-rate oracle builds 0/1 generator rows from its own layouts, then
+shifts and concatenates them instead of packing one set of row words,
+the lattice oracle enumerates allocation tables by brute force, the
+distance oracle compares every pair of points, and the constellation
+oracles sort and compare 2-D complex points instead of the library's
+1-D rails.  None of them calls into hetmac.detmac.
 """
 
 from __future__ import annotations
@@ -111,6 +113,28 @@ def density_bruteforce_2d(
     num = ex[np.arange(y.size), x_idx, :].sum(axis=1)
     den = ex.sum(axis=(1, 2)) / own.size
     return np.log2(num / den)
+
+
+def density_1d_reference(
+    y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
+) -> np.ndarray:
+    """One-rail TIN density in bits, sample-major and without an exp floor.
+
+    The temporary is laid out (sample, own point, interferer point), the
+    exponents go to exp unfloored, and the sums are numpy reductions over
+    the two grid axes: another layout and summation order than the
+    library's grid-major folds.  A sample whose sent row underflows to 0
+    gets -inf.
+    """
+    grid = own[:, None] + w[None, :]
+    ex = y[:, None, None] - grid[None, :, :]
+    ex *= ex
+    ex -= ex.min(axis=(1, 2), keepdims=True)
+    np.exp(np.negative(ex, out=ex), out=ex)
+    num = ex[np.arange(y.size), x_idx, :].sum(axis=1)
+    den = ex.sum(axis=(1, 2)) / own.size
+    with np.errstate(divide="ignore"):
+        return np.log2(num / den)
 
 
 def philox_draw_2d(seed: int, chunk: int, count: int, own: np.ndarray, w: np.ndarray):

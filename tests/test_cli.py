@@ -820,7 +820,11 @@ def test_largest_bit_level_still_runs(tmp_path):
     payload["allocations"] = [{"id": "X", "m": [[2]]}]
     path, out = write_scenario(tmp_path, payload), tmp_path / "r.csv"
     assert main(["region", "--scenario", path, "--out", str(out)]) == EXIT_OK
-    assert "scheme,X,1&2,2,2,2,0,1,0" in out.read_text().splitlines()
+    lines = out.read_text().splitlines()
+    assert "scheme,X,1&2,2,2,2,0,1,0" in lines
+    # the Gaussian dispersion stays finite up to the largest SINR, about 1023 b/sym here
+    gaussian = [line.split(",") for line in lines if line.startswith("gaussian_tin,")]
+    assert len(gaussian) == 1 and float(gaussian[0][4]) > 1000.0
 
 
 @pytest.mark.parametrize(

@@ -331,19 +331,15 @@ class TestSweep:
         calls = count_estimates(monkeypatch)
         results = rate_region_sweep(cfg, enumerated(cfg), samples=10_000, seed=3)
         sampled = [stats for _, _, stats in calls if stats.samples]
-        # an exact key of the estimate: the task, both rails as bytes and the
-        # part orders that map a draw to rail indices
+        # an exact key of the estimate: the task, and both rails and the
+        # rail-index tables that map a draw to them, as bytes
         subblocks = []
         for res in results:
             for k in range(cfg.users):
                 for l in range(k + 1):
                     if res.signaling.parts[(k, l)]:
-                        own, w, own_parts, w_parts = _receive_tables(cfg, res.signaling, k, l)
-                        subblocks.append(
-                            (k, l, own.tobytes(), w.tobytes(),
-                             tuple(p.order_bits for p in own_parts),
-                             tuple(p.order_bits for p in w_parts))
-                        )
+                        tables = _receive_tables(cfg, res.signaling, k, l)
+                        subblocks.append((k, l, *(t.tobytes() for t in tables)))
         assert len(sampled) == len(set(subblocks)) < len(subblocks)
 
 

@@ -32,10 +32,10 @@ from hetmac.signaling import (
     ScaledPart,
     SchemeSignaling,
     build_scheme,
-    iq_indices,
 )
 
 from oracles import (
+    density_1d_reference,
     density_bruteforce_2d,
     density_moments_quadrature,
     philox_draw_2d,
@@ -153,18 +153,19 @@ def density_cases(draw):
 
 def assert_matches_bruteforce_2d(cfg, sig, k, l, seed, chunk, noise_scale):
     tables = _receive_tables(cfg, sig, k, l)
-    own, w, own_parts, w_parts = tables
+    own, w, own_iq, w_iq = tables
     own2d, w2d = receive_alphabets_2d(cfg, sig, k, l)
-    # the rails are the real and imaginary parts of the 2-D alphabets, to the bit
-    for rails, pts, parts in ((own, own2d, own_parts), (w, w2d, w_parts)):
-        re, im = iq_indices(np.arange(pts.size), parts)
-        assert np.array_equal(rails[re], pts.real)
-        assert np.array_equal(rails[im], pts.imag)
+    # the rails, read through the rail-index tables, are the real and
+    # imaginary parts of the 2-D alphabets, to the bit
+    for rails, pts, iq in ((own, own2d, own_iq), (w, w2d, w_iq)):
+        assert iq.shape == (2, pts.size)
+        assert np.array_equal(rails[iq[0]], pts.real)
+        assert np.array_equal(rails[iq[1]], pts.imag)
     # the Philox draw picks the same sent point and the same y as on the 2-D grid
     y, x = _chunk_draw(seed, chunk, 32, tables)
     y2d, x_idx = philox_draw_2d(seed, chunk, 32, own2d, w2d)
     assert np.array_equal(y[0], y2d.real) and np.array_equal(y[1], y2d.imag)
-    assert np.array_equal(np.stack(iq_indices(x_idx, own_parts)), x)
+    assert np.array_equal(own_iq[:, x_idx], x)
     got = _density(y, x, own, w)
     assert np.max(np.abs(got - density_bruteforce_2d(y2d, x_idx, own2d, w2d))) <= 1e-11
     # and at other y: the same states with rescaled noise
@@ -199,7 +200,7 @@ class TestSeparableKernel:
 
 
 class TestKernelBatching:
-    @pytest.mark.parametrize("own_size, w_size", [(16, 4), (8, 128), (2, 512), (1, 1024)])
+    @pytest.mark.parametrize("own_size, w_size", [(16, 4), (8, 128), (2, 512), (1, 1024), (5, 6)])
     def test_rows_do_not_depend_on_the_batch(self, own_size, w_size):
         rng = np.random.default_rng(own_size * w_size)
         own = np.sort(rng.standard_normal(own_size)) * 4.0
@@ -211,6 +212,27 @@ class TestKernelBatching:
         rows = [_density_1d(y[j:j + 1], x[j:j + 1], own, w) for j in range(y.size)]
         assert np.array_equal(whole, np.concatenate(halves))
         assert np.array_equal(whole, np.concatenate(rows))
+        for n in (2, 3, 17):  # small batches, over the first thousand samples
+            batches = np.concatenate(
+                [_density_1d(y[s:s + n], x[s:s + n], own, w) for s in range(0, 1000, n)]
+            )
+            assert np.array_equal(whole[:batches.size], batches), n
+
+    @pytest.mark.parametrize("own_size, w_size", [(1024, 1), (512, 2), (8, 128), (1, 1024)])
+    def test_kernel_peak_is_one_temporary_at_every_cap_shape(self, own_size, w_size):
+        # |R| |V| = 2^10 and 4096 samples: the one temporary is 2^22 float64 = 32 MiB
+        rng = np.random.default_rng(own_size)
+        own = np.sort(rng.standard_normal(own_size)) * 4.0
+        w = rng.standard_normal(w_size) * 4.0
+        y = rng.standard_normal(_CHUNK) * 5.0
+        x = rng.integers(0, own_size, y.size)
+        tracemalloc.start()
+        try:
+            _density_1d(y, x, own, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
     def test_near_cap_memory_is_one_temporary(self):
         # sub-block (0, 0): 8 own rail levels x 128 interferer rail levels, the
@@ -228,6 +250,37 @@ class TestKernelBatching:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+@st.composite
+def rail_cases(draw):
+    """Rails of 1-64 points at a random scale, samples up to 50 rail spans away."""
+    own_size = draw(st.sampled_from([1, 2, 3, 5, 6, 7, 16, 63, 64]))
+    w_size = draw(st.sampled_from([1, 2, 3, 5, 6, 17, 32, 64]))
+    scale = draw(st.floats(0.05, 8.0))
+    reach = draw(st.floats(0.0, 50.0))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    own = np.sort(rng.standard_normal(own_size)) * scale
+    w = rng.standard_normal(w_size) * scale
+    grid = own[:, None] + w[None, :]
+    span = max(float(np.ptp(grid)), scale)
+    y = rng.uniform(grid.min() - reach * span, grid.max() + reach * span, n)
+    return y, rng.integers(0, own_size, n), own, w
+
+
+class TestKernelReference:
+    @given(rail_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_sample_major_reference(self, case):
+        got = _density_1d(*case)
+        want = density_1d_reference(*case)
+        assert np.all(np.isfinite(got))
+        # a floored lane adds at most e^-700 to the sent row's sum, so the
+        # floor moves a density only where the reference lies below about
+        # -950 bits (or is -inf); there both read below -900 bits
+        close = np.abs(got - want) <= 1e-12
+        assert np.all(close | ((want < -900.0) & (got < -900.0))), (got, want)
 
 
 class TestEstimateStats:
