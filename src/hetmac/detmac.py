@@ -7,7 +7,7 @@ here is small dense GF(2) linear algebra with bit-packed rows.
 
 component_layout is the one home of the tail-sum rule and of bit
 placement, and _depth_rows reads the word row (depth - 1) of every bit
-off its layout, once per (allocation, scheme) for all witnesses.
+off its layout, computed once per distinct component column and scheme.
 achieved_rates packs each user's full-rank block straight into those
 rows at its column offset, which is the shifted generator matrix
 without building it; the ranks of the words still prove that the
@@ -131,9 +131,9 @@ class ComponentFeasibility:
         return self.slack >= 0
 
 
-def _column(cfg: DetConfig, l: int) -> list[int]:
+def _column(cfg: DetConfig, l: int) -> tuple[int, ...]:
     """Component l's column of the table: m[k][l] for users k = l..K-1."""
-    return [cfg.m[k][l] for k in range(l, cfg.users)]
+    return tuple(cfg.m[k][l] for k in range(l, cfg.users))
 
 
 def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, int, int]:
@@ -243,24 +243,35 @@ def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]
     return rates
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1024)
+def _component_rows(
+    n: tuple[int, ...], component: int, m_col: tuple[int, ...], scheme_type: int
+) -> tuple[tuple[int, ...], ...]:
+    """Word rows of users component..K-1 in one component, off its layout.
+
+    A component's layout depends only on the levels, its column and the
+    scheme, so tables that share a column share its rows.
+    """
+    layout = component_layout(n, m_col, component, scheme_type)
+    return tuple(
+        tuple(d for start, end in layout[k] for d in range(start, end))
+        for k in range(component, len(n))
+    )
+
+
 def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Word row of every bit: [l][k - l][j] = depth - 1 of user k's j-th depth in component l.
 
     A generator in user k's own frame would hold block row j at row
     depth - 1 - (n_l - n_k), and the channel's down shift by n_l - n_k
     moves it back to depth - 1, so the received rows are read off the
-    layout directly.  The rows depend only on (allocation, scheme), so
-    det-verify's witnesses of one scheme share them.
+    layout directly, once per distinct (levels, component, column,
+    scheme) while _component_rows' cache holds it.
     """
-    out = []
-    for l in range(cfg.users):
-        layout = component_layout(cfg.n, _column(cfg, l), l, scheme_type)
-        out.append(tuple(
-            tuple(d for start, end in layout[k] for d in range(start, end))
-            for k in range(l, cfg.users)
-        ))
-    return tuple(out)
+    return tuple(
+        _component_rows(cfg.n, l, _column(cfg, l), scheme_type)
+        for l in range(cfg.users)
+    )
 
 
 def achieved_rates(

@@ -80,6 +80,8 @@ _CHUNK = 4096
 #: clear of the subnormal results below log(2^-1022) ~ -708.4 that put
 #: numpy's exp on its slow path (module docstring).
 _EXP_FLOOR = -700.0
+#: Most values a kernel pass holds: at the size cap, one _CHUNK-sample rail.
+_PASS_VALUES = 2**22
 #: Fewest Monte Carlo samples estimate_stats accepts.
 MIN_SAMPLES = 10_000
 
@@ -159,9 +161,9 @@ def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
     adds, so a sample's bits do not depend on the batch it is in.
 
     check_component_size keeps |R|^2 |V|^2 within 2^20, so |R| |V| <=
-    2^10, and a call sees at most _CHUNK = 2^12 samples: ex holds at most
-    2^22 values (32 MiB), and every other array is the size of one of
-    its rows or columns.
+    2^10, and _density passes at most _PASS_VALUES // (|R| |V|) samples:
+    ex holds at most 2^22 values (32 MiB), and every other array is the
+    size of one of its rows or columns.
     """
     n = y.size
     grid = (own[:, None] + w[None, :]).ravel()  # received rail points, multiplicity kept
@@ -178,8 +180,20 @@ def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
 
 
 def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Density in bits, i_re + i_im, of rails y[(re, im), j] with sent rail indices x."""
-    return _density_1d(y[0], x[0], own, w) + _density_1d(y[1], x[1], own, w)
+    """Density in bits, i_re + i_im, of rails y[(re, im), j] with sent rail indices x.
+
+    Both rails go through _density_1d as one run of 2n samples, cut into
+    passes of _PASS_VALUES // (|R| |V|) samples so that no temporary
+    exceeds _PASS_VALUES values; batch independence keeps the bits of
+    two separate rail passes.
+    """
+    n = y.shape[1]
+    ys, xs = y.reshape(-1), x.reshape(-1)
+    step = _PASS_VALUES // (own.size * w.size)
+    d = np.concatenate([
+        _density_1d(ys[s:s + step], xs[s:s + step], own, w) for s in range(0, ys.size, step)
+    ])
+    return d[:n] + d[n:]
 
 
 def information_density(
@@ -214,9 +228,10 @@ def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.nd
     """
     own, w, own_iq, w_iq = tables
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    u_x = rng.random(count)
-    u_w = rng.random(count)
-    noise = np.stack([rng.standard_normal(count), rng.standard_normal(count)]) * math.sqrt(0.5)
+    # one call per kind draws the same Philox values, in the same order, as one per row
+    u_x, u_w = rng.random((2, count))
+    noise = rng.standard_normal((2, count))
+    noise *= math.sqrt(0.5)
     own_size, w_size = own.size**2, w.size**2
     x_idx = np.minimum((u_x * own_size).astype(np.int64), own_size - 1)
     w_idx = np.minimum((u_w * w_size).astype(np.int64), w_size - 1)
@@ -272,7 +287,8 @@ def estimate_stats(
     centered = dens - mi
     # a numpy reduction, not BLAS ddot: its bits and threads would follow the BLAS build
     dispersion = float(np.square(centered).sum() / (samples - 1))
-    third = float(np.mean(np.abs(centered) ** 3))
+    a = np.abs(centered)
+    third = float(np.mean(a * a * a))
     return DensityStats(
         mi=mi,
         dispersion=dispersion,

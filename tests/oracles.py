@@ -5,8 +5,9 @@ information oracle integrates with Gauss-Hermite quadrature instead of
 Monte Carlo, the density oracle sums over the 2-D alphabets instead of
 the library's separable I/Q rails, the one-rail density reference lays
 its temporary out sample-major and reduces with numpy sums instead of
-the library's grid-major folds, the rank oracle enumerates row subsets,
-the scheme-2 layout oracle walks one depth at a time, the deterministic
+the library's grid-major folds, the rank oracle enumerates row subsets
+(and decides which draws the full-rank witness sampler keeps), the
+scheme-2 layout oracle walks one depth at a time, the deterministic
 TIN-rate oracle builds 0/1 generator rows from its own layouts, then
 shifts and concatenates them instead of packing one set of row words,
 the lattice oracle enumerates allocation tables by brute force, the
@@ -165,6 +166,15 @@ def rank_by_subsets(rows: list[list[int]]) -> int:
                 acc ^= wrd
         span.add(acc)
     return int(math.log2(len(span)))
+
+
+def full_rank_words(n: int, rng) -> tuple[int, ...]:
+    """Row words of a random invertible n x n GF(2) matrix: n words of
+    getrandbits(n), drawn again until rank_by_subsets reports rank n."""
+    while True:
+        words = tuple(rng.getrandbits(n) for _ in range(n))
+        if rank_by_subsets([[(w >> j) & 1 for j in range(n)] for w in words]) == n:
+            return words
 
 
 def generator_rows(n, m, component: int, scheme_type: int, blocks=None) -> dict:

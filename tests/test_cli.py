@@ -427,28 +427,33 @@ class TestDetVerify:
         import hetmac.cli as cli_mod
 
         det = cli_mod.detmac
-        det._depth_rows.cache_clear()  # entries left by earlier tests would hide calls
+        det._component_rows.cache_clear()  # entries left by earlier tests would hide calls
         current = []
         layouts = []
         true_rates, true_layout = det.achieved_rates, det.component_layout
 
         def rates(cfg, scheme_type, f_blocks=None):
-            current.append((cfg.m, scheme_type))
+            current.append((cfg.n, cfg.m, scheme_type))
             return true_rates(cfg, scheme_type, f_blocks)
 
         def layout(n, m_col, component, scheme_type):
-            layouts.append(current[-1] + (component,))
+            layouts.append((tuple(n), component, tuple(m_col), scheme_type))
             return true_layout(n, m_col, component, scheme_type)
 
         monkeypatch.setattr(det, "achieved_rates", rates)
         monkeypatch.setattr(det, "component_layout", layout)
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
-        # all 7 allocations are feasible: identity + 3 witnesses per scheme
-        assert len(current) == 7 * 8
-        # C and D share one table, so D reuses C's layouts
-        tables = {m for m, _ in current}
+        # all 7 allocations are feasible: identity + 1 random witness per scheme
+        assert len(current) == 7 * 4
+        # C and D share one table, and tables that share a column share its layout
+        tables = {(n, m) for n, m, _ in current}
         assert len(tables) == 6
-        assert sorted(layouts) == sorted((m, s, l) for m in tables for s in (1, 2) for l in range(2))
+        keys = {
+            (n, l, tuple(m[k][l] for k in range(l, len(n))), s)
+            for n, m in tables for s in (1, 2) for l in range(len(n))
+        }
+        assert len(keys) < 6 * 2 * 2
+        assert sorted(layouts) == sorted(keys)
 
     def test_packed_pass_checks_the_layout(self, monkeypatch, capsys):
         import hetmac.cli as cli_mod

@@ -23,6 +23,7 @@ from oracles import (
     component_layout_depthwise,
     det_mutual_info_concat,
     enumerate_tables_brute,
+    full_rank_words,
     generator_rows,
     rank_by_subsets,
 )
@@ -152,13 +153,21 @@ class TestMutualInfo:
         pairs = [(k, l) for l in range(cfg.users) for k in range(l, cfg.users)]
         for scheme_type in (1, 2):
             full_rank = {(k, l): random_full_rank(m[k][l], rng) for k, l in pairs}
+            # full rank by the oracle's own rank test, drawn without detmac
+            oracle_full_rank = {
+                (k, l): F2Matrix(m[k][l], m[k][l], full_rank_words(m[k][l], rng)) for k, l in pairs
+            }
             # any square block, singular ones included, so rates may fall short of m
             arbitrary = {
                 (k, l): F2Matrix(m[k][l], m[k][l], tuple(rng.getrandbits(m[k][l]) for _ in range(m[k][l])))
                 for k, l in pairs
             }
-            for blocks in (None, full_rank, arbitrary):
+            identity = achieved_rates(cfg, scheme_type)
+            for blocks in (None, full_rank, oracle_full_rank, arbitrary):
                 rates = achieved_rates(cfg, scheme_type, blocks)
+                if blocks is not arbitrary:
+                    # the block diagonal of full-rank witnesses is invertible: no rank moves
+                    assert rates == identity
                 assert list(rates) == pairs
                 for l in range(cfg.users):
                     per_user = None if blocks is None else {
