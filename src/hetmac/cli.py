@@ -286,6 +286,8 @@ def cmd_det_verify(scenario: Scenario) -> int:
     cfg = scenario.channel()
     allocations = _scenario_allocations(scenario, cfg)
     status = EXIT_OK
+    rng = random.Random(scenario.seed)
+    witnessed = set()
     for alloc_id, alloc, _ in allocations:
         det = detmac.DetConfig(n=cfg.n, m=alloc.m)
         print(f"allocation {alloc_id}: m={alloc.m}")
@@ -300,15 +302,16 @@ def cmd_det_verify(scenario: Scenario) -> int:
             print("  infeasible allocation, skipping rank identities")
             status = max(status, EXIT_INFEASIBLE)
             continue
-        rng = random.Random(scenario.seed)
         for scheme_type in (1, 2):
             # every full-rank witness gives the identity's rates (README); one random
-            # witness per scheme still runs achieved_rates' block-packing path
-            witness = {
-                (k, l): detmac.random_full_rank(det.m[k][l], rng)
-                for l in range(det.users)
-                for k in range(l, det.users)
-            }
+            # witness per distinct (component, column, scheme) still runs
+            # achieved_rates' block-packing path, the first time the component appears
+            witness = {}
+            for l, m_col in enumerate(det._columns):
+                if (l, m_col, scheme_type) not in witnessed:
+                    witnessed.add((l, m_col, scheme_type))
+                    for k, mk in enumerate(m_col, l):
+                        witness[(k, l)] = detmac.random_full_rank(mk, rng)
             for f_blocks in (None, witness):
                 rates = detmac.achieved_rates(det, scheme_type, f_blocks)
                 if scheme_type == 1 and f_blocks is None:

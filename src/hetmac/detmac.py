@@ -11,7 +11,8 @@ off its layout, computed once per distinct component column and scheme.
 achieved_rates packs each user's full-rank block straight into those
 rows at its column offset, which is the shifted generator matrix
 without building it; the ranks of the words still prove that the
-windows are disjoint.
+windows are disjoint.  The identity witness's ranks of a component are
+computed once per distinct row layout.
 """
 
 from __future__ import annotations
@@ -108,6 +109,11 @@ class DetConfig:
     def users(self) -> int:
         return len(self.n)
 
+    @functools.cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column l of the table for every component l: m[k][l] for users k = l..K-1."""
+        return tuple(tuple(self.m[k][l] for k in range(l, self.users)) for l in range(self.users))
+
 
 @dataclass(frozen=True)
 class ComponentFeasibility:
@@ -131,11 +137,6 @@ class ComponentFeasibility:
         return self.slack >= 0
 
 
-def _column(cfg: DetConfig, l: int) -> tuple[int, ...]:
-    """Component l's column of the table: m[k][l] for users k = l..K-1."""
-    return tuple(cfg.m[k][l] for k in range(l, cfg.users))
-
-
 def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, int, int]:
     """(first_user, load, capacity) of component l's tail with the least slack,
     ties going to the smallest user; m_col covers users l..K-1."""
@@ -156,8 +157,8 @@ def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
     tail with the least slack, ties going to the smallest user.
     """
     return tuple(
-        ComponentFeasibility(l, *_binding_tail(cfg.n, _column(cfg, l), l))
-        for l in range(cfg.users)
+        ComponentFeasibility(l, *_binding_tail(cfg.n, m_col, l))
+        for l, m_col in enumerate(cfg._columns)
     )
 
 
@@ -224,7 +225,7 @@ def component_layout(
     return out
 
 
-def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]:
+def _tin_ranks(words: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
     """rank(all) - rank(all but k) for every user k of one component.
 
     words are the component's packed rows: the rows of [S^(n_l - n_u) G_u]_u
@@ -235,12 +236,46 @@ def _tin_ranks(words: Sequence[int], masks: Mapping[int, int]) -> dict[int, int]
     that the users' windows are disjoint; they never copy the allocation.
     """
     rank_all = _rank_words(words)
-    rates = {}
-    for user, mask in masks.items():
+    rates = []
+    for mask in masks:
         keep = ~mask
         # a user without columns leaves every word as it is: rate 0
-        rates[user] = rank_all - _rank_words([w & keep for w in words]) if mask else 0
-    return rates
+        rates.append(rank_all - _rank_words([w & keep for w in words]) if mask else 0)
+    return tuple(rates)
+
+
+def _component_ranks(
+    nl: int, rows: tuple[tuple[int, ...], ...], blocks: Sequence[F2Matrix | None] = ()
+) -> tuple[int, ...]:
+    """TIN rates of users l..K-1 in one component, in user order.
+
+    rows[i] holds the word rows of the i-th user's bits (_depth_rows).
+    Block row j of that user (blocks[i], the identity 1 << j when absent
+    or None) is packed at word row rows[i][j], shifted to the user's
+    column offset.
+    """
+    words = [0] * nl
+    masks = []
+    offset = 0
+    for i, depths in enumerate(rows):
+        mk = len(depths)
+        f = blocks[i] if blocks else None
+        if f is None:
+            for j, r in enumerate(depths, offset):
+                words[r] |= 1 << j
+        elif (f.rows, f.cols) != (mk, mk):
+            raise ValueError(f"F block must be {mk}x{mk}")
+        else:
+            for r, b in zip(depths, f.bits):
+                words[r] |= b << offset
+        masks.append(((1 << mk) - 1) << offset)
+        offset += mk
+    return _tin_ranks(words, masks)
+
+
+# The identity witness's ranks depend only on the level and the word rows, so
+# they are keyed on those rows and never on the column they were laid out from.
+_identity_ranks = functools.lru_cache(maxsize=1024)(_component_ranks)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -269,8 +304,8 @@ def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...]
     scheme) while _component_rows' cache holds it.
     """
     return tuple(
-        _component_rows(cfg.n, l, _column(cfg, l), scheme_type)
-        for l in range(cfg.users)
+        _component_rows(cfg.n, l, m_col, scheme_type)
+        for l, m_col in enumerate(cfg._columns)
     )
 
 
@@ -284,26 +319,16 @@ def achieved_rates(
     Block row j of user k (f_blocks[(k, l)], the identity 1 << j when
     absent) is packed at word row depth - 1 of k's j-th depth from
     _depth_rows, shifted to k's column offset; the ranks of those words
-    are the rates.
+    are the rates.  A component that holds no block is on the identity
+    path, whose ranks are computed once per distinct (level, rows).
     """
     rates = {}
     for l, rows in enumerate(_depth_rows(cfg, scheme_type)):
-        words = [0] * cfg.n[l]
-        masks = {}
-        offset = 0
-        for k, depths in enumerate(rows, l):
-            mk = cfg.m[k][l]
-            f = f_blocks.get((k, l)) if f_blocks else None
-            if f is None:
-                for j, r in enumerate(depths, offset):
-                    words[r] |= 1 << j
-            elif (f.rows, f.cols) != (mk, mk):
-                raise ValueError(f"F block must be {mk}x{mk}")
-            else:
-                for r, b in zip(depths, f.bits):
-                    words[r] |= b << offset
-            masks[k] = ((1 << mk) - 1) << offset
-            offset += mk
-        for k, r in _tin_ranks(words, masks).items():
+        blocks = [f_blocks.get((k, l)) for k in range(l, cfg.users)] if f_blocks else ()
+        if any(blocks):  # an F2Matrix is always true, a missing block None
+            ranks = _component_ranks(cfg.n[l], rows, blocks)
+        else:
+            ranks = _identity_ranks(cfg.n[l], rows)
+        for k, r in enumerate(ranks, l):
             rates[(k, l)] = r
     return rates

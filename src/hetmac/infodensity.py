@@ -174,7 +174,11 @@ def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
     np.maximum(ex, _EXP_FLOOR, out=ex)
     np.exp(ex, out=ex)
     rows = _fold(ex.reshape(own.size, w.size, n).swapaxes(0, 1))  # (|R|, n)
-    num = rows[x_idx, np.arange(n)]
+    # rows[a] is ex's row a * |V|: take the numerator off the flat buffer, not by a
+    # 2-D fancy gather, and before the fold over a overwrites rows[0]
+    flat = x_idx.astype(np.intp) * (w.size * n)
+    flat += np.arange(n)
+    num = ex.reshape(-1).take(flat)
     den = _fold(rows) / own.size
     return np.log2(num / den)
 

@@ -1,11 +1,13 @@
 import contextlib
 import importlib.util
+import inspect
 import io
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -478,6 +480,74 @@ class TestDetVerify:
         assert rates[(0, 0)] < 4 and rates[(1, 0)] < 4 and rates[(1, 1)] == 4
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
         assert "VIOLATION" in capsys.readouterr().out
+        # the mutant's identity ranks were cached under its own rows, never the true ones
+        monkeypatch.undo()
+        assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (DATA / "two_user_uplink_detverify.txt").read_bytes()
+
+    def test_one_witness_per_component_column_and_scheme(self, monkeypatch, capsys):
+        import hetmac.cli as cli_mod
+
+        det = cli_mod.detmac
+        drawn, calls = [], []
+        true_draw, true_rates = det.random_full_rank, det.achieved_rates
+
+        def draw(n, rng):
+            drawn.append(true_draw(n, rng))
+            return drawn[-1]
+
+        def rates(cfg, scheme_type, f_blocks=None):
+            calls.append((cfg, scheme_type, dict(f_blocks or {})))
+            return true_rates(cfg, scheme_type, f_blocks)
+
+        monkeypatch.setattr(det, "random_full_rank", draw)
+        monkeypatch.setattr(det, "achieved_rates", rates)
+        scenario = str(DATA / "three_user_detverify.yaml")
+        assert main(["det-verify", "--scenario", scenario]) == EXIT_INFEASIBLE
+
+        def key(cfg, l, scheme_type):
+            return l, tuple(cfg.m[k][l] for k in range(l, cfg.users)), scheme_type
+
+        distinct = {key(cfg, l, s) for cfg, s, _ in calls for l in range(cfg.users)}
+        witnessed, blocks = [], []
+        for cfg, s, f_blocks in calls:
+            comps = sorted({l for _, l in f_blocks})
+            # every user of a new component, in (l, k) order
+            assert list(f_blocks) == [(k, l) for l in comps for k in range(l, cfg.users)]
+            witnessed += [key(cfg, l, s) for l in comps]
+            blocks += f_blocks.values()
+        assert len(witnessed) == len(set(witnessed)) == len(distinct)
+        assert set(witnessed) == distinct
+        assert len(drawn) == sum(len(column) for _, column, _ in distinct)
+        assert len(blocks) == len(drawn) and all(b is d for b, d in zip(blocks, drawn))
+
+    @pytest.mark.parametrize(
+        "scenario, golden",
+        [
+            (UPLINK, "two_user_uplink_detverify.txt"),
+            (str(DATA / "three_user_detverify.yaml"), "three_user_detverify.txt"),
+        ],
+    )
+    def test_witness_catches_a_packing_fault(self, monkeypatch, capsys, scenario, golden):
+        import hetmac.cli as cli_mod
+
+        det = cli_mod.detmac
+        # mutant: the block branch packs witness rows one column past their offset; the
+        # identity path keeps its own cache of the true function
+        source = textwrap.dedent(inspect.getsource(det._component_ranks))
+        assert source.count("b << offset") == 1
+        namespace = dict(vars(det))
+        mutated = source.replace("b << offset", "b << (offset + 1)")
+        exec(compile(mutated, det.__file__, "exec"), namespace)
+        monkeypatch.setattr(det, "_component_ranks", namespace["_component_ranks"])
+        assert main(["det-verify", "--scenario", scenario]) == EXIT_VIOLATION
+        out = capsys.readouterr().out
+        assert "VIOLATION" in out
+        # identity rates and region checks are printed as before
+        golden_lines = (DATA / golden).read_text(encoding="utf-8").splitlines()
+        assert [line for line in out.splitlines() if "VIOLATION" not in line] == [
+            line for line in golden_lines if line != "all rank identities hold"
+        ]
 
 
 # "a0" repeats the first allocation's id when drawn for another id

@@ -44,10 +44,10 @@ def _levels_and_table(draw):
 
 
 @st.composite
-def _feasible_levels_and_table(draw):
-    """Sorted levels of 1-3 users up to 6 and a table meeting every tail-sum rule."""
-    users = draw(st.integers(1, 3))
-    n = tuple(sorted(draw(st.lists(st.integers(0, 6), min_size=users, max_size=users)), reverse=True))
+def _feasible_levels_and_table(draw, users=st.integers(1, 3), top=6):
+    """Sorted levels up to top and a table meeting every tail-sum rule."""
+    users = draw(users)
+    n = tuple(sorted(draw(st.lists(st.integers(0, top), min_size=users, max_size=users)), reverse=True))
     m = [[0] * (k + 1) for k in range(users)]
     for l in range(users):
         tail = 0
@@ -176,6 +176,25 @@ class TestMutualInfo:
                     gens = generator_rows(n, m, l, scheme_type, per_user)
                     for k in range(l, cfg.users):
                         assert rates[(k, l)] == det_mutual_info_concat(n, gens, k, l)
+
+    @given(_feasible_levels_and_table(users=st.integers(2, 4), top=12))
+    @settings(max_examples=50, deadline=None)
+    def test_cached_identity_ranks_match_the_packing_path(self, case):
+        n, m = case
+        cfg = DetConfig(n, m)
+        # explicit identity blocks for every pair put each component on the packing path
+        ident = {
+            (k, l): F2Matrix(m[k][l], m[k][l], tuple(1 << j for j in range(m[k][l])))
+            for l in range(cfg.users)
+            for k in range(l, cfg.users)
+        }
+        for scheme_type in (1, 2):
+            cached = achieved_rates(cfg, scheme_type)
+            assert achieved_rates(cfg, scheme_type, ident) == cached
+            for l in range(cfg.users):
+                gens = generator_rows(n, m, l, scheme_type)
+                for k in range(l, cfg.users):
+                    assert cached[(k, l)] == det_mutual_info_concat(n, gens, k, l)
 
     def test_witness_stream_is_pinned(self):
         # det-verify's witnesses depend on these getrandbits calls and on
