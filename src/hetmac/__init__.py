@@ -38,7 +38,6 @@ from .infodensity import (
 )
 from .pipeline import (
     BitAllocation,
-    CodeParams,
     enumerate_allocations,
     select_code_params,
 )

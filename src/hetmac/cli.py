@@ -303,16 +303,17 @@ def cmd_det_verify(scenario: Scenario) -> int:
             status = max(status, EXIT_INFEASIBLE)
             continue
         for scheme_type in (1, 2):
-            # every full-rank witness gives the identity's rates (README); one random
-            # witness per distinct (component, column, scheme) still runs
-            # achieved_rates' block-packing path, the first time the component appears
+            # every full-rank witness gives the identity's rates (README), so one random
+            # witness runs achieved_rates' block-packing path per distinct (component,
+            # column, scheme), the first time it appears; a table that brings no new
+            # component is checked on the identity alone
             witness = {}
-            for l, m_col in enumerate(det._columns):
+            for l, m_col in enumerate(det.columns):
                 if (l, m_col, scheme_type) not in witnessed:
                     witnessed.add((l, m_col, scheme_type))
                     for k, mk in enumerate(m_col, l):
                         witness[(k, l)] = detmac.random_full_rank(mk, rng)
-            for f_blocks in (None, witness):
+            for f_blocks in (None, witness) if witness else (None,):
                 rates = detmac.achieved_rates(det, scheme_type, f_blocks)
                 if scheme_type == 1 and f_blocks is None:
                     identity_rates = rates
@@ -349,7 +350,7 @@ def cmd_codeparams(
     (result,) = rate_region_sweep(cfg, pinned, scenario.samples, scenario.seed, workers=workers)
     params = select_code_params(cfg, alloc, result.rates)
     print(f"allocation {alloc_id} scheme {alloc.scheme_type}")
-    for entry, report in zip(params.entries, result.reports):
+    for entry, report in zip(params, result.reports):
         label = cfg.order[entry.user] + 1
         note = "  (degenerate)" if entry.degenerate else ""
         print(

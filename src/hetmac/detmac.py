@@ -110,7 +110,7 @@ class DetConfig:
         return len(self.n)
 
     @functools.cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
+    def columns(self) -> tuple[tuple[int, ...], ...]:
         """Column l of the table for every component l: m[k][l] for users k = l..K-1."""
         return tuple(tuple(self.m[k][l] for k in range(l, self.users)) for l in range(self.users))
 
@@ -158,7 +158,7 @@ def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
     """
     return tuple(
         ComponentFeasibility(l, *_binding_tail(cfg.n, m_col, l))
-        for l, m_col in enumerate(cfg._columns)
+        for l, m_col in enumerate(cfg.columns)
     )
 
 
@@ -305,7 +305,7 @@ def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...]
     """
     return tuple(
         _component_rows(cfg.n, l, m_col, scheme_type)
-        for l, m_col in enumerate(cfg._columns)
+        for l, m_col in enumerate(cfg.columns)
     )
 
 

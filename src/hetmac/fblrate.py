@@ -4,10 +4,10 @@ The normal-approximation rate of user k across its sub-blocks is
 
     R_k = sum_l w_l * I_l  -  sqrt(sum_l (N_l - N_{l-1}) * V_l) / N_k * Qinv(eps_k)
 
-with w_l = (N_l - N_{l-1}) / N_k and the O(1/N_k) residual dropped (the
-report carries a flag saying so).  The refined error-probability bound
-adds a union-bound term and a Berry-Esseen term built from the third
-absolute central moment of the density.
+with w_l = (N_l - N_{l-1}) / N_k and the O(1/N_k) residual dropped.
+The refined error-probability bound adds a union-bound term and a
+Berry-Esseen term built from the third absolute central moment of the
+density.
 """
 
 from __future__ import annotations
@@ -115,18 +115,15 @@ def lambda_threshold(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) 
 class RateReport:
     """Rate and second-order bookkeeping for one user."""
 
-    user: int
     rate: float
     stats: tuple[DensityStats, ...]
     weighted_mi: float
     dispersion_sum: float
-    o_term_dropped: bool = True
 
 
 def build_rate_report(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> RateReport:
     lengths, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
     return RateReport(
-        user=k,
         rate=max(0.0, fbl_rate(cfg, stats, k)),
         stats=tuple(stats),
         weighted_mi=mi_sum / cfg.N[k],

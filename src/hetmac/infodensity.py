@@ -63,13 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ChannelConfig
-from .signaling import (
-    DEFAULT_POINT_CAP,
-    SchemeSignaling,
-    check_component_size,
-    iq_indices,
-    minkowski_sum,
-)
+from .signaling import SchemeSignaling, iq_indices, received_rail
 
 LOG2_E = math.log2(math.e)
 #: Gap constant of the constellation-constrained MI bound: log2(5*pi*e/6).
@@ -106,25 +100,26 @@ def _task_seed(seed: int, k: int, l: int) -> int:
     return (seed * 0x9E3779B9 + k * 65537 + l * 257) & 0x7FFFFFFFFFFFFFFF
 
 
+def _received_rails(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) -> tuple:
+    """received_rail of user k and of its interferers in sub-block l."""
+    interferers = [i for i in range(l, cfg.users) if i != k]
+    return received_rail(sig, cfg, [k], l), received_rail(sig, cfg, interferers, l)
+
+
 def _receive_tables(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) -> tuple:
     """(own, w, own_iq, w_iq): one rail of user k's received alphabet and
     of its interferer multiset in sub-block l, and their rail-index tables.
 
-    own is h_k times the user's transmit axis and w the Minkowski sum of the
-    interferers' h-scaled transmit axes, both with multiplicity and in
-    Minkowski order; the 2-D alphabets are own x own and w x w.  Column i
-    of own_iq (of w_iq) holds the (re, im) rail indices of flat index i
-    into the 2-D alphabet (iq_indices), as uint16: a rail has at most 2^10
-    points.  The 2-D count |A| * |W| is component l's superimposed
-    cardinality, so the size cap is superimpose's, and the two tables hold
-    at most 2^20 + 1 columns together.
+    own and w are received_rail's, with multiplicity and in Minkowski
+    order; the 2-D alphabets are own x own and w x w.  Column i of own_iq
+    (of w_iq) holds the (re, im) rail indices of flat index i into the 2-D
+    alphabet (iq_indices), as uint16: a rail has at most 2^10 points.  The
+    2-D count |A| * |W| is component l's superimposed cardinality, within
+    received_rail's size cap, so the two tables hold at most 2^20 + 1
+    columns together.
     """
-    check_component_size(sig, cfg, l, DEFAULT_POINT_CAP)
-    interferers = [i for i in range(l, cfg.users) if i != k]
-    own = sig.transmit_axis(k, l) * cfg.h[k]
-    w = minkowski_sum((sig.transmit_axis(i, l) * cfg.h[i] for i in interferers), np.float64)
-    w_parts = tuple(part for i in interferers for part in sig.parts[(i, l)])
-    return own, w, _iq_table(own.size, sig.parts[(k, l)]), _iq_table(w.size, w_parts)
+    (own, own_parts), (w, w_parts) = _received_rails(cfg, sig, k, l)
+    return own, w, _iq_table(own.size, own_parts), _iq_table(w.size, w_parts)
 
 
 def _iq_table(rail_size: int, parts) -> np.ndarray:
@@ -160,7 +155,7 @@ def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
     denominator.  Every step is elementwise, an exact min or a fold of
     adds, so a sample's bits do not depend on the batch it is in.
 
-    check_component_size keeps |R|^2 |V|^2 within 2^20, so |R| |V| <=
+    received_rail's size cap keeps |R|^2 |V|^2 within 2^20, so |R| |V| <=
     2^10, and _density passes at most _PASS_VALUES // (|R| |V|) samples:
     ex holds at most 2^22 values (32 MiB), and every other array is the
     size of one of its rows or columns.
@@ -213,7 +208,7 @@ def information_density(
     x_k is a point of user k's sub-block alphabet (transmit side, before
     the channel gain).
     """
-    own, w, _, _ = _receive_tables(cfg, sig, k, l)
+    (own, _), (w, _) = _received_rails(cfg, sig, k, l)
     sent = complex(x_k) * cfg.h[k]
     x = np.array([[np.argmin(np.abs(own - sent.real))], [np.argmin(np.abs(own - sent.imag))]])
     if abs(complex(*own[x[:, 0]]) - sent) > 1e-9 * max(1.0, float(np.abs(own).max())):

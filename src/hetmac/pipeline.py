@@ -67,20 +67,18 @@ def _component_tuples(
     yield from build(len(n) - 1, (), 0)
 
 
-def enumerate_allocations(
-    cfg: ChannelConfig,
-    even_only: bool = True,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> list[BitAllocation]:
+def enumerate_allocations(cfg: ChannelConfig, even_only: bool = True) -> list[BitAllocation]:
     """Every allocation in the layered rate region, lexicographically ordered.
 
     Components are independent, so the region is the product of the
     per-component tail-sum polytopes; even_only restricts orders to the
-    square-QAM convention.
+    square-QAM convention.  More than DEFAULT_ENUMERATION_CAP allocations
+    raise EnumerationTooLargeError.
     """
     n = cfg.n
     K = len(n)
     step = 2 if even_only else 1
+    cap = DEFAULT_ENUMERATION_CAP
     per_component: list[list[tuple[int, ...]]] = []
     total = 1
     # weakest (smallest) components first, each listed only as far as the
@@ -115,15 +113,11 @@ class UserCodeParams:
         return self.codeword_bits == 0 or self.info_bits < 1
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    entries: tuple[UserCodeParams, ...]
-
-
 def select_code_params(
     cfg: ChannelConfig, alloc: BitAllocation, rates: Sequence[float]
-) -> CodeParams:
-    """Information and codeword lengths matching the achievable rates.
+) -> tuple[UserCodeParams, ...]:
+    """Information and codeword lengths matching the achievable rates, one
+    entry per user.
 
     Codeword length counts modulated bits over the sub-blocks; the
     information length floors R_k * N_k so the error-probability bound
@@ -138,4 +132,4 @@ def select_code_params(
         info = max(0, math.floor(rates[k] * cfg.N[k]))
         info = min(info, codeword)
         entries.append(UserCodeParams(user=k, info_bits=info, codeword_bits=codeword))
-    return CodeParams(entries=tuple(entries))
+    return tuple(entries)

@@ -69,19 +69,9 @@ def pam_axis(order_bits: int, dmin: float) -> np.ndarray:
     return (2.0 * np.arange(side) - (side - 1)) * (dmin / 2.0)
 
 
-def iq_grid(axis: np.ndarray) -> np.ndarray:
-    """Square QAM with the given axis on both rails.
-
-    Flat index i * len(axis) + j holds axis[j] + 1j * axis[i]; iq_indices
-    inverts this layout.
-    """
-    re, im = np.meshgrid(axis, axis)
-    return (re + 1j * im).ravel()
-
-
-def minkowski_sum(sets: Iterable[np.ndarray], dtype=np.complex128) -> np.ndarray:
+def minkowski_sum(sets: Iterable[np.ndarray]) -> np.ndarray:
     """Multiset sum of point sets with multiplicity, first set slowest-varying."""
-    acc = np.zeros(1, dtype=dtype)
+    acc = np.zeros(1)
     for pts in sets:
         acc = (acc[:, None] + pts[None, :]).ravel()
     return acc
@@ -110,9 +100,6 @@ class ScaledPart:
         """Real (and imaginary) rail of the scaled part: a PAM."""
         return pam_axis(self.order_bits, 1.0) * self.scale
 
-    def points(self) -> np.ndarray:
-        return iq_grid(self.axis())
-
     @property
     def energy(self) -> float:
         return self.scale * self.scale * ((1 << self.order_bits) - 1) / 6.0
@@ -120,46 +107,42 @@ class ScaledPart:
 
 @dataclass
 class SchemeSignaling:
-    """Per-(user, sub-block) scaled constellations plus power bookkeeping.
+    """Per-(user, sub-block) scaled QAM parts plus power bookkeeping.
 
-    energies holds the pre-normalization average energies E[k][l]; eta[l]
-    is the component normalization 1/sqrt(max energy); zeta[k][l] is the
-    ratio of actual transmit power to budget.  A sub-block with no bits
-    reports zeta 1 when the user transmits in another sub-block (its
-    budget is trivially met) and 0 when the user is entirely silent.
+    energies holds the pre-normalization average energies E[k][l];
+    zeta[k][l] is the ratio of actual transmit power to budget.  A
+    sub-block with no bits reports zeta 1 when the user transmits in
+    another sub-block (its budget is trivially met) and 0 when the user
+    is entirely silent.
     """
 
-    scheme_type: int
     parts: dict[tuple[int, int], tuple[ScaledPart, ...]]
-    eta: tuple[float, ...]
     energies: dict[tuple[int, int], float]
     zeta: dict[tuple[int, int], float]
 
-    @property
-    def constellations(self) -> dict[tuple[int, int], Constellation]:
-        """Transmit alphabet per (user, sub-block) as an I/Q grid; a
-        sub-block without bits is the single point at the origin."""
-        return {key: Constellation(self.transmit_axis(*key)) for key in self.parts}
+    def transmit_axis(self, k: int, l: int) -> np.ndarray:
+        """The transmit alphabet's rail: the Minkowski sum of the part axes."""
+        return minkowski_sum(part.axis() for part in self.parts[(k, l)])
 
     def transmit_points(self, k: int, l: int) -> np.ndarray:
-        """Symbol alphabet with multiplicity: Minkowski sum over the parts."""
-        return minkowski_sum(part.points() for part in self.parts[(k, l)])
-
-    def transmit_axis(self, k: int, l: int) -> np.ndarray:
-        """One rail of transmit_points: the Minkowski sum of the part axes.
-
-        transmit_points is this axis times itself on the I and Q rails, as
-        a multiset; iq_indices maps its flat indices to this axis.
-        """
-        return minkowski_sum((part.axis() for part in self.parts[(k, l)]), np.float64)
+        """The 2-D transmit alphabet with multiplicity, in iq_indices' order:
+        a view of the rail, kept for the benchmark's tools; the library
+        works on the rail alone."""
+        axis = self.transmit_axis(k, l)
+        re, im = iq_indices(np.arange(axis.size**2), self.parts[(k, l)])
+        return axis[re] + 1j * axis[im]
 
 
 def iq_indices(flat: np.ndarray, parts: Sequence[ScaledPart]) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) rail indices of flat indices into a Minkowski sum of parts.
+    """(re, im) rail indices of flat indices into the 2-D alphabet of parts.
 
-    flat indexes minkowski_sum(p.points() for p in parts); the returned
-    indices address minkowski_sum(p.axis() for p in parts), which holds
-    the real parts and the imaginary parts of those points alike.
+    The one definition of the 2-D Minkowski order.  The alphabet of
+    parts p_1, ..., p_n is the multiset sum of their square QAMs, p_1
+    slowest-varying; within the QAM of a part with side levels, flat
+    index i * side + j is rail level j on the real axis and level i on
+    the imaginary axis.  The returned indices address
+    minkowski_sum(p.axis() for p in parts), the rail that holds the real
+    parts and the imaginary parts alike.
     """
     re = np.zeros_like(flat)
     im = np.zeros_like(flat)
@@ -218,13 +201,7 @@ def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
         else:
             zeta[(k, l)] = 1.0 if any(m[k]) else 0.0
 
-    return SchemeSignaling(
-        scheme_type=alloc.scheme_type,
-        parts=parts,
-        eta=eta,
-        energies=energies,
-        zeta=zeta,
-    )
+    return SchemeSignaling(parts=parts, energies=energies, zeta=zeta)
 
 
 def _rails_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
@@ -234,34 +211,39 @@ def _rails_close(a: np.ndarray, b: np.ndarray, atol: float) -> bool:
     return a.size == b.size and SQRT2 * float(np.abs(a - b).max()) <= atol
 
 
-def schemes_identical(a: SchemeSignaling, b: SchemeSignaling, rtol: float = 1e-9) -> bool:
+def schemes_identical(a: SchemeSignaling, b: SchemeSignaling) -> bool:
     """True when both schemes produce the same symbol alphabets everywhere,
-    to rtol of the largest point modulus (at least 1)."""
+    to 1e-9 of the largest point modulus (at least 1)."""
     if set(a.parts) != set(b.parts):
         return False
     for key in a.parts:
         ra = np.sort(a.transmit_axis(*key))
         rb = np.sort(b.transmit_axis(*key))
-        atol = rtol * max(1.0, SQRT2 * float(np.abs(ra).max()))
+        atol = 1e-9 * max(1.0, SQRT2 * float(np.abs(ra).max()))
         if not _rails_close(ra, rb, atol):
             return False
     return True
 
 
-def check_component_size(sig: SchemeSignaling, cfg: ChannelConfig, l: int, cap: int) -> None:
-    """Raise ConstellationTooLargeError when component l's superimposed
-    receive alphabet, prod_{k >= l} 2**bits(k, l) points with multiplicity,
-    exceeds cap."""
+def received_rail(
+    sig: SchemeSignaling, cfg: ChannelConfig, users: Sequence[int], l: int
+) -> tuple[np.ndarray, tuple[ScaledPart, ...]]:
+    """(rail, parts): the Minkowski sum of the users' h-scaled transmit axes
+    in sub-block l, with multiplicity, and their parts in the same order,
+    so iq_indices(flat, parts) maps the 2-D received alphabet onto the rail.
+
+    Every received alphabet is built here, and only here is its size
+    checked: ConstellationTooLargeError when component l's superimposed
+    alphabet, prod_{k >= l} 2**bits(k, l) points, exceeds DEFAULT_POINT_CAP.
+    """
+    cap = DEFAULT_POINT_CAP  # read at call time
     if 1 << sum(p.order_bits for k in range(l, cfg.users) for p in sig.parts[(k, l)]) > cap:
         raise ConstellationTooLargeError(f"superimposed cardinality exceeds cap {cap}")
+    rail = minkowski_sum(sig.transmit_axis(k, l) * cfg.h[k] for k in users)
+    return rail, tuple(part for k in users for part in sig.parts[(k, l)])
 
 
-def superimpose(
-    sig: SchemeSignaling,
-    cfg: ChannelConfig,
-    component: int,
-    point_cap: int = DEFAULT_POINT_CAP,
-) -> Constellation:
+def superimpose(sig: SchemeSignaling, cfg: ChannelConfig, component: int) -> Constellation:
     """Receive-side sum constellation of all users active in one component.
 
     Exact Minkowski sum of h_k-scaled alphabets; coinciding points are
@@ -270,12 +252,7 @@ def superimpose(
     """
     if not 0 <= component < cfg.users:
         raise ValueError("component out of range")
-    check_component_size(sig, cfg, component, point_cap)
-    rail = minkowski_sum(
-        (sig.transmit_axis(k, component) * cfg.h[k] for k in range(component, cfg.users)),
-        np.float64,
-    )
-    return Constellation(rail)
+    return Constellation(received_rail(sig, cfg, range(component, cfg.users), component)[0])
 
 
 @dataclass(frozen=True)
@@ -293,25 +270,26 @@ class LadderVerdict:
         return self.cardinality_ok and self.dmin_ok and self.zero_mean_ok and self.grid_ok
 
 
-def verify_lemma2(orders: list[int], delta: float, budget_bits: int = 16) -> LadderVerdict:
+def verify_lemma2(orders: list[int], delta: float) -> LadderVerdict:
     """Check the ladder superposition sum_k 2**(sum of earlier orders / 2) * QAM_k.
 
     Builds the superposition of unit-spacing-delta QAMs with the dyadic
     ladder scaling and verifies it is exactly the regular QAM of the
     total order: correct cardinality, minimum distance delta, zero mean,
-    and point-for-point grid agreement.
+    and point-for-point grid agreement.  Ladders above 16 bits in all
+    are refused.
     """
     if not orders:
         raise ValueError("need at least one order")
     total = sum(orders)
-    if total > budget_bits:
-        raise ConstellationTooLargeError(f"sum of orders {total} exceeds budget {budget_bits}")
+    if total > 16:
+        raise ConstellationTooLargeError(f"sum of orders {total} exceeds budget 16")
     layers = []
     cum = 0
     for order in orders:
         layers.append(pam_axis(order, delta) * 2.0 ** (cum / 2.0))
         cum += order
-    built = Constellation(minkowski_sum(layers, np.float64))
+    built = Constellation(minkowski_sum(layers))
     tol = delta * 1e-9
     cardinality_ok = built.cardinality == (1 << total)
     dmin_ok = abs(built.dmin - delta) <= tol

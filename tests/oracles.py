@@ -13,7 +13,11 @@ shifts and concatenates them instead of packing one set of row words,
 the lattice oracle enumerates allocation tables by brute force, the
 distance oracle compares every pair of points, and the constellation
 oracles sort and compare 2-D complex points instead of the library's
-1-D rails.  None of them calls into hetmac.detmac.
+1-D rails.  The 2-D alphabets come from transmit_points_2d, which lays
+out each part's square QAM on its own meshgrid and sums the parts as
+complex points, never through the library's rails.  This module imports
+nothing from hetmac but hetmac.errors, and reads a scheme only through
+its parts.
 """
 
 from __future__ import annotations
@@ -86,18 +90,42 @@ def tin_mi_quadrature(own: np.ndarray, interferers: np.ndarray, nodes: int = 48)
     return total / grid.size
 
 
+def transmit_points_2d(sig, k: int, l: int) -> np.ndarray:
+    """User k's 2-D transmit alphabet in sub-block l, with multiplicity.
+
+    Each part (a square QAM of unit spacing, scaled) is laid out on a
+    meshgrid, the real level fastest, and the parts are summed as complex
+    points, the first part slowest-varying: the 2-D Minkowski order.
+    """
+    acc = np.zeros(1, dtype=np.complex128)
+    for part in sig.parts[(k, l)]:
+        side = 1 << (part.order_bits // 2)
+        levels = (np.arange(side) - (side - 1) / 2) * part.scale
+        re, im = np.meshgrid(levels, levels)
+        acc = (acc[:, None] + (re + 1j * im).ravel()[None, :]).ravel()
+    return acc
+
+
 def receive_alphabets_2d(cfg, sig, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Received 2-D own alphabet h_k*A_k and interferer sum multiset, Minkowski order.
 
-    Built point by point from the transmit alphabets, without the I/Q
-    rails the library's density kernel works on.
+    Built point by point from transmit_points_2d, without the I/Q rails
+    the library's density kernel works on.
     """
-    own = sig.transmit_points(k, l) * cfg.h[k]
+    own = transmit_points_2d(sig, k, l) * cfg.h[k]
     w = np.zeros(1, dtype=np.complex128)
     for i in range(l, cfg.users):
         if i != k:
-            w = (w[:, None] + (sig.transmit_points(i, l) * cfg.h[i])[None, :]).ravel()
+            w = (w[:, None] + (transmit_points_2d(sig, i, l) * cfg.h[i])[None, :]).ravel()
     return own, w
+
+
+def receive_points_2d(cfg, sig, l: int) -> np.ndarray:
+    """Component l's 2-D received alphabet: every user's, h-scaled and summed."""
+    acc = np.zeros(1, dtype=np.complex128)
+    for k in range(l, cfg.users):
+        acc = (acc[:, None] + (transmit_points_2d(sig, k, l) * cfg.h[k])[None, :]).ravel()
+    return acc
 
 
 def density_bruteforce_2d(
@@ -340,8 +368,8 @@ def schemes_identical_2d(a, b, rtol: float = 1e-9) -> bool:
     if set(a.parts) != set(b.parts):
         return False
     for key in a.parts:
-        pa = np.sort_complex(a.transmit_points(*key))
-        pb = np.sort_complex(b.transmit_points(*key))
+        pa = np.sort_complex(transmit_points_2d(a, *key))
+        pb = np.sort_complex(transmit_points_2d(b, *key))
         if pa.size != pb.size:
             return False
         scale = max(1.0, float(np.abs(pa).max()))

@@ -18,6 +18,7 @@ from hetmac.fblrate import (
 from hetmac.infodensity import MI_GAP_BITS, estimate_stats, gaussian_tin_mi
 from hetmac.pipeline import BitAllocation
 from hetmac.signaling import (
+    Constellation,
     ScaledPart,
     SchemeSignaling,
     build_scheme,
@@ -182,7 +183,7 @@ def test_criterion_6_oracle_equivalence():
             cfg, sig = _single_user_scheme(snr_db, order)
             st = estimate_stats(cfg, sig, 0, 0, samples=200_000, seed=616)
             mi_ref = density_moments_quadrature(
-                sig.constellations[(0, 0)].points, nodes=64
+                Constellation(sig.transmit_axis(0, 0)).points, nodes=64
             )[0]
             # fully concentrated densities give se = 0; allow rounding there
             gap = abs(st.mi - mi_ref)
@@ -326,9 +327,7 @@ def _single_user_scheme(snr_db: float, order: int):
     qam = regular_qam(order, 1.0)
     part = ScaledPart(order, math.sqrt(cfg.snr[0] / qam.avg_energy))
     sig = SchemeSignaling(
-        scheme_type=1,
         parts={(0, 0): (part,)},
-        eta=(1.0,),
         energies={(0, 0): part.energy},
         zeta={(0, 0): 1.0},
     )

@@ -2,7 +2,9 @@
 
 A refactor that renames or stops importing one of those attributes, or
 that passes estimate_stats its leading arguments by keyword, would make a
-traced run miss calls without failing; these tests catch that first.
+traced run miss calls without failing, and one that changes what the
+tracer's kernel-cell counter reads would make it count wrong; these tests
+catch that first.
 """
 
 import importlib.util
@@ -13,21 +15,36 @@ import hetmac.cli  # noqa: F401  (bench/rep.py imports it before rebinding)
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.fblrate import rate_region_sweep
 from hetmac.pipeline import BitAllocation
+from hetmac.signaling import build_scheme
 
 ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 
 
-def _wrapped():
+def _spans():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.WRAPPED
+    return module
 
 
 def test_every_wrapped_attribute_resolves():
-    for module_name, attr, _ in _wrapped():
+    for module_name, attr, _ in _spans().WRAPPED:
         assert callable(getattr(getattr(hetmac, module_name), attr)), (module_name, attr)
+
+
+def test_cells_per_sample_counts_the_2d_grid():
+    # the traced run's infodensity.cells is samples times this count: |A_k| |W|,
+    # every user's 2-D alphabet of the sub-block multiplied together
+    cells_per_sample = _spans()._cells_per_sample
+    cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
+    for m, scheme_type in ((((6,), (2, 4)), 2), (((4,), (4, 4)), 1)):  # D and E
+        sig = build_scheme(cfg, BitAllocation(m=m, scheme_type=scheme_type))
+        for k, l in sig.parts:
+            want = 1
+            for i in range(l, cfg.users):
+                want *= sig.transmit_axis(i, l).size ** 2
+            assert cells_per_sample(cfg, sig, k, l) == want, (m, k, l)
 
 
 def test_sweep_passes_estimate_stats_its_subblock_positionally(monkeypatch):

@@ -445,8 +445,9 @@ class TestDetVerify:
         monkeypatch.setattr(det, "achieved_rates", rates)
         monkeypatch.setattr(det, "component_layout", layout)
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
-        # all 7 allocations are feasible: identity + 1 random witness per scheme
-        assert len(current) == 7 * 4
+        # all 7 allocations are feasible: the identity per scheme, and a random
+        # witness per scheme for the 6 that bring a new component (D repeats C's table)
+        assert len(current) == 7 * 2 + 6 * 2
         # C and D share one table, and tables that share a column share its layout
         tables = {(n, m) for n, m, _ in current}
         assert len(tables) == 6
@@ -461,20 +462,7 @@ class TestDetVerify:
         import hetmac.cli as cli_mod
 
         det = cli_mod.detmac
-        true_rows = det._depth_rows
-
-        def shared_depth(cfg, scheme_type):
-            # the last user with bits in a component reuses the first one's top depth
-            out = []
-            for comp in true_rows(cfg, scheme_type):
-                comp = [list(rows) for rows in comp]
-                busy = [rows for rows in comp if rows]
-                if len(busy) > 1:
-                    busy[-1][0] = busy[0][0]
-                out.append(tuple(tuple(rows) for rows in comp))
-            return tuple(out)
-
-        monkeypatch.setattr(det, "_depth_rows", shared_depth)
+        monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
         cfg = det.DetConfig(n=(8, 4), m=((4,), (4, 4)))
         rates = det.achieved_rates(cfg, 1)
         assert rates[(0, 0)] < 4 and rates[(1, 0)] < 4 and rates[(1, 1)] == 4
@@ -484,6 +472,24 @@ class TestDetVerify:
         monkeypatch.undo()
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
         assert capsys.readouterr().out.encode() == (DATA / "two_user_uplink_detverify.txt").read_bytes()
+
+    def test_identity_checked_once_without_a_new_component(self, monkeypatch, capsys):
+        # under the shared-depth mutant every shared component violates; C brings a
+        # new component, so identity and witness both report it, while D repeats
+        # C's table and is checked on the identity alone
+        import hetmac.cli as cli_mod
+
+        det = cli_mod.detmac
+        monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
+        assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
+        blocks = {}
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("allocation "):
+                alloc_id = line.split()[1].rstrip(":")
+            elif "VIOLATION" in line:
+                blocks.setdefault(alloc_id, []).append(line.split(":")[0].strip())
+        assert blocks["C"] == ["scheme 1"] * 2 + ["scheme 2"] * 2
+        assert blocks["D"] == ["scheme 1", "scheme 2"]
 
     def test_one_witness_per_component_column_and_scheme(self, monkeypatch, capsys):
         import hetmac.cli as cli_mod
@@ -548,6 +554,23 @@ class TestDetVerify:
         assert [line for line in out.splitlines() if "VIOLATION" not in line] == [
             line for line in golden_lines if line != "all rank identities hold"
         ]
+
+
+def _shared_depth(true_rows):
+    """Mutant of detmac._depth_rows: the last user with bits in a component
+    reuses the first one's top depth."""
+
+    def shared_depth(cfg, scheme_type):
+        out = []
+        for comp in true_rows(cfg, scheme_type):
+            comp = [list(rows) for rows in comp]
+            busy = [rows for rows in comp if rows]
+            if len(busy) > 1:
+                busy[-1][0] = busy[0][0]
+            out.append(tuple(tuple(rows) for rows in comp))
+        return tuple(out)
+
+    return shared_depth
 
 
 # "a0" repeats the first allocation's id when drawn for another id
@@ -789,12 +812,12 @@ class TestRegion:
 
         scenario = load_scenario(path)
         cfg = scenario.channel()
-        from hetmac.signaling import build_scheme
+        from hetmac.signaling import Constellation, build_scheme
         from hetmac.pipeline import BitAllocation
 
         sig = build_scheme(cfg, BitAllocation(m=((4,),)))
         mi_q, v_q, _ = density_moments_quadrature(
-            sig.constellations[(0, 0)].points * cfg.h[0], nodes=64
+            Constellation(sig.transmit_axis(0, 0)).points * cfg.h[0], nodes=64
         )
         rate_ref = mi_q - math.sqrt(v_q / 128.0) * q_inv(1e-5)
         assert rate == pytest.approx(rate_ref, abs=0.05)

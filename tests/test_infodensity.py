@@ -59,9 +59,7 @@ def faint_qpsk_scheme(amplitude: float):
     cfg = single_user_cfg(5.0)
     part = ScaledPart(2, amplitude)
     sig = SchemeSignaling(
-        scheme_type=1,
         parts={(0, 0): (part,)},
-        eta=(1.0,),
         energies={(0, 0): part.energy},
         zeta={(0, 0): part.energy / cfg.P[0]},
     )
@@ -71,7 +69,7 @@ def faint_qpsk_scheme(amplitude: float):
 class TestInformationDensity:
     def test_matches_four_term_hand_sum(self):
         cfg, sig = qpsk_scheme(8.0)
-        pts = sig.constellations[(0, 0)].points
+        pts = Constellation(sig.transmit_axis(0, 0)).points
         for y in (0.0 + 0.0j, 0.3 + 0.1j, -1.2 + 2.0j):
             for x in pts:
                 num = math.exp(-abs(y - x) ** 2)
@@ -82,12 +80,12 @@ class TestInformationDensity:
 
     def test_symmetric_point_gives_zero_bits(self):
         cfg, sig = qpsk_scheme(8.0)
-        x = sig.constellations[(0, 0)].points[0]
+        x = Constellation(sig.transmit_axis(0, 0)).points[0]
         assert information_density(0j, cfg, sig, 0, 0, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_high_snr_approaches_order(self):
         cfg, sig = qpsk_scheme(30.0)
-        x = sig.constellations[(0, 0)].points[0]
+        x = Constellation(sig.transmit_axis(0, 0)).points[0]
         val = information_density(complex(x), cfg, sig, 0, 0, x)
         assert val == pytest.approx(2.0, abs=1e-6)
 
@@ -113,7 +111,7 @@ class TestInformationDensity:
         cfg, sig = qpsk_scheme(6.0)
         stats = estimate_stats(cfg, sig, 0, 0, samples=20_000, seed=5)
         rng = np.random.default_rng(123)
-        pts = sig.constellations[(0, 0)].points
+        pts = Constellation(sig.transmit_axis(0, 0)).points
         vals = []
         for _ in range(4000):
             x = pts[rng.integers(0, 4)]
@@ -288,7 +286,7 @@ class TestEstimateStats:
         cfg, sig = qpsk_scheme(10.0)
         stats = estimate_stats(cfg, sig, 0, 0, samples=100_000, seed=3)
         mi_ref = density_moments_quadrature(
-            sig.constellations[(0, 0)].points * cfg.h[0], nodes=64
+            Constellation(sig.transmit_axis(0, 0)).points * cfg.h[0], nodes=64
         )[0]
         assert abs(stats.mi - mi_ref) < 3 * stats.std_error
 
@@ -410,9 +408,7 @@ class TestSumConstellation:
         )
         sum_cfg = ChannelConfig.from_users([UserSpec(30.0, 128, 1e-6)])
         sum_sig = SchemeSignaling(
-            scheme_type=1,
             parts={(0, 0): (part,)},
-            eta=(1.0,),
             energies={(0, 0): part.energy},
             zeta={(0, 0): 1.0},
         )

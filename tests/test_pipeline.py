@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hetmac import pipeline
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.detmac import DetConfig, allocation_feasible
 from hetmac.errors import EnumerationTooLargeError
@@ -10,7 +11,7 @@ from hetmac.pipeline import (
     enumerate_allocations,
     select_code_params,
 )
-from hetmac.signaling import build_scheme
+from hetmac.signaling import Constellation, build_scheme
 
 from oracles import enumerate_tables_brute
 
@@ -57,9 +58,10 @@ class TestEnumerate:
         flats = [a.flat() for a in allocs]
         assert flats == sorted(flats)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "DEFAULT_ENUMERATION_CAP", 10)
         with pytest.raises(EnumerationTooLargeError):
-            enumerate_allocations(two_user(), even_only=False, cap=10)
+            enumerate_allocations(two_user(), even_only=False)
 
     @pytest.mark.parametrize("even_only", [True, False])
     def test_matches_brute_force_lattice(self, even_only):
@@ -88,7 +90,7 @@ class TestEnumerate:
             sig = build_scheme(cfg, alloc)
             for (k, l), z in sig.zeta.items():
                 assert 0.0 <= z <= 1.0 + 1e-12
-                assert sig.constellations[(k, l)].avg_energy <= cfg.P[k] * (1 + 1e-12)
+                assert Constellation(sig.transmit_axis(k, l)).avg_energy <= cfg.P[k] * (1 + 1e-12)
 
 
 class TestCodeParams:
@@ -96,23 +98,23 @@ class TestCodeParams:
         cfg = two_user()
         alloc = BitAllocation(m=((4,), (4, 4)))
         params = select_code_params(cfg, alloc, [3.68, 3.19])
-        assert params.entries[1].codeword_bits == 128 * 4 + 72 * 4 == 800
-        assert params.entries[0].codeword_bits == 128 * 4 == 512
-        assert params.entries[0].info_bits == math.floor(3.68 * 128)
-        assert params.entries[1].info_bits == math.floor(3.19 * 200)
+        assert params[1].codeword_bits == 128 * 4 + 72 * 4 == 800
+        assert params[0].codeword_bits == 128 * 4 == 512
+        assert params[0].info_bits == math.floor(3.68 * 128)
+        assert params[1].info_bits == math.floor(3.19 * 200)
 
     def test_zero_rate_gives_zero_info(self):
         cfg = two_user()
         alloc = BitAllocation(m=((0,), (4, 4)))
         params = select_code_params(cfg, alloc, [0.0, 2.0])
-        assert params.entries[0].info_bits == 0
-        assert params.entries[0].degenerate
+        assert params[0].info_bits == 0
+        assert params[0].degenerate
 
     def test_code_rate_at_most_one(self):
         cfg = two_user()
         alloc = BitAllocation(m=((2,), (2, 2)))
         params = select_code_params(cfg, alloc, [10.0, 10.0])
-        for entry in params.entries:
+        for entry in params:
             assert entry.info_bits <= entry.codeword_bits
             assert entry.rate <= 1.0
 
@@ -120,8 +122,8 @@ class TestCodeParams:
         cfg = two_user()
         alloc = BitAllocation(m=((2,), (2, 2)))
         params = select_code_params(cfg, alloc, [0.001, 1.0])
-        assert params.entries[0].degenerate
-        assert not params.entries[1].degenerate
+        assert params[0].degenerate
+        assert not params[1].degenerate
 
 
 class TestBitAllocation:

@@ -1,19 +1,21 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetmac import detmac
+from hetmac import detmac, signaling
+from hetmac.cli import load_scenario
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import ConstellationTooLargeError, UnsupportedOrderError
-from hetmac.pipeline import BitAllocation
+from hetmac.infodensity import estimate_stats, information_density
+from hetmac.pipeline import BitAllocation, enumerate_allocations
 from hetmac.signaling import (
     Constellation,
     build_scheme,
-    minkowski_sum,
     regular_qam,
     schemes_identical,
     superimpose,
@@ -24,6 +26,7 @@ from hetmac.signaling import (
 import oracles
 
 SQRT3 = math.sqrt(3.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def two_user_cfg():
@@ -131,7 +134,7 @@ class TestBuildScheme:
     def test_single_user_full_power(self):
         cfg = ChannelConfig.from_users([UserSpec(10 * math.log10(64.0), 100, 1e-4)])
         sig = build_scheme(cfg, BitAllocation(m=((6,),)))
-        assert sig.constellations[(0, 0)].avg_energy == pytest.approx(cfg.P[0])
+        assert Constellation(sig.transmit_axis(0, 0)).avg_energy == pytest.approx(cfg.P[0])
         assert sig.zeta[(0, 0)] == pytest.approx(1.0)
 
     def test_power_budget_never_exceeded(self):
@@ -139,8 +142,9 @@ class TestBuildScheme:
         for m in [((8,), (0, 4)), ((6,), (2, 4)), ((4,), (4, 4)), ((2,), (4, 4))]:
             for scheme_type in (1, 2):
                 sig = build_scheme(cfg, BitAllocation(m=m, scheme_type=scheme_type))
-                for (k, _), c in sig.constellations.items():
-                    assert c.avg_energy <= cfg.P[k] * (1 + 1e-12)
+                for k, l in sig.parts:
+                    energy = Constellation(sig.transmit_axis(k, l)).avg_energy
+                    assert energy <= cfg.P[k] * (1 + 1e-12)
 
     def test_energy_table_bound(self):
         rng = random.Random(8)
@@ -198,7 +202,7 @@ class TestSuperimpose:
         cfg = two_user_cfg()
         sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
         sup = superimpose(sig, cfg, 1)
-        own = sig.constellations[(1, 1)]
+        own = Constellation(sig.transmit_axis(1, 1))
         assert sup.cardinality == own.cardinality
         assert np.allclose(
             np.sort_complex(sup.points), np.sort_complex(own.points * cfg.h[1])
@@ -210,11 +214,24 @@ class TestSuperimpose:
         sup = superimpose(sig, cfg, 0)
         assert sup.cardinality == 2**8
 
-    def test_point_cap(self):
+    def test_point_cap(self, monkeypatch):
+        # one cap, read at call time, covers every entry to component 0's receive
+        # alphabets: allocation E loads it with 256 points
         cfg = two_user_cfg()
         sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
-        with pytest.raises(ConstellationTooLargeError):
-            superimpose(sig, cfg, 0, point_cap=100)
+        x = Constellation(sig.transmit_axis(0, 0)).points[0]
+        entries = (
+            lambda: superimpose(sig, cfg, 0),
+            lambda: estimate_stats(cfg, sig, 0, 0, samples=10_000),
+            lambda: information_density(x, cfg, sig, 0, 0, x),
+        )
+        monkeypatch.setattr(signaling, "DEFAULT_POINT_CAP", 255)
+        for entry in entries:
+            with pytest.raises(ConstellationTooLargeError, match="exceeds cap 255"):
+                entry()
+        monkeypatch.setattr(signaling, "DEFAULT_POINT_CAP", 256)
+        for entry in entries:
+            entry()
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2]))
     @settings(max_examples=60, deadline=None)
@@ -224,9 +241,9 @@ class TestSuperimpose:
         cfg, alloc = _random_even_scenario(random.Random(seed), max_total=12)
         sig = build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=scheme_type))
         for key in sig.parts:
-            assert _is_iq_product(sig.transmit_points(*key)), key
+            assert _is_iq_product(oracles.transmit_points_2d(sig, *key)), key
         for l in range(cfg.users):
-            assert _is_iq_product(_receive_points_2d(sig, cfg, l)), l
+            assert _is_iq_product(oracles.receive_points_2d(cfg, sig, l)), l
 
     @pytest.mark.parametrize("scheme_type", [1, 2])
     def test_randomized_distance_guarantee(self, scheme_type):
@@ -253,9 +270,12 @@ class TestRailConstellations:
             build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=t)) for t in (1, 2)
         )
         for sig in (s1, s2):
-            pairs = [(sig.constellations[key], sig.transmit_points(*key)) for key in sig.parts]
+            pairs = [
+                (Constellation(sig.transmit_axis(*key)), oracles.transmit_points_2d(sig, *key))
+                for key in sig.parts
+            ]
             pairs += [
-                (superimpose(sig, cfg, l), _receive_points_2d(sig, cfg, l))
+                (superimpose(sig, cfg, l), oracles.receive_points_2d(cfg, sig, l))
                 for l in range(cfg.users)
             ]
             for const, pts in pairs:
@@ -268,6 +288,28 @@ class TestRailConstellations:
                     np.mean(np.abs(expected) ** 2), rel=1e-12
                 )
         assert schemes_identical(s1, s2) == oracles.schemes_identical_2d(s1, s2)
+
+    @pytest.mark.parametrize(
+        "scenario", ["scenarios/two_user_uplink.yaml", "tests/data/three_user_detverify.yaml"]
+    )
+    def test_transmit_points_are_the_2d_oracle_bit_for_bit(self, scenario):
+        # the 2-D view read off the rail through iq_indices is the alphabet the
+        # oracle lays out part by part, to the bit, on every enumerated allocation
+        cfg = load_scenario(str(ROOT / scenario)).channel()
+        checked = 0
+        for alloc in enumerate_allocations(cfg):
+            for scheme_type in (1, 2):
+                try:
+                    sig = build_scheme(cfg, BitAllocation(m=alloc.m, scheme_type=scheme_type))
+                except UnsupportedOrderError:
+                    continue
+                for key in sig.parts:
+                    got = sig.transmit_points(*key)
+                    want = oracles.transmit_points_2d(sig, *key)
+                    assert got.dtype == want.dtype == np.complex128
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), key
+                    checked += 1
+        assert checked > 0
 
 
 class TestLemma2:
@@ -289,7 +331,7 @@ class TestLemma2:
 
     def test_budget(self):
         with pytest.raises(ConstellationTooLargeError):
-            verify_lemma2([8, 8, 4], 1.0, budget_bits=16)
+            verify_lemma2([8, 8, 4], 1.0)
 
 
 def test_csv_export(tmp_path):
@@ -301,11 +343,6 @@ def test_csv_export(tmp_path):
     assert len(lines) == 5
     values = {tuple(float(x) for x in ln.split(",")) for ln in lines[1:]}
     assert (0.5, 0.5) in values
-
-
-def _receive_points_2d(sig, cfg, l):
-    """2-D receive alphabet of component l with multiplicity."""
-    return minkowski_sum(sig.transmit_points(k, l) * cfg.h[k] for k in range(l, cfg.users))
 
 
 def _random_even_scenario(rng: random.Random, max_total: int = 12, tight: bool = False,
