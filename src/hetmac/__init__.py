@@ -33,8 +33,6 @@ from .infodensity import (
     DensityStats,
     estimate_stats,
     gaussian_tin_mi,
-    information_density,
-    mi_lower_bound,
 )
 from .pipeline import (
     BitAllocation,

@@ -60,19 +60,29 @@ class Scenario:
         return ChannelConfig.from_users(self.users)
 
 
-def _number(raw, where: str, kind: type = float, least: float = -math.inf):
-    """raw converted by kind (int or float); anything else, booleans, infinities,
-    values below least and fractions where an int is wanted are config errors.
-    Strings go through kind too, since YAML 1.1 reads an unquoted 1e-5 as one."""
+def _number(raw, where: str, kind: type = float, least: float = -math.inf, most: float = math.inf):
+    """raw as a kind (int or float) in [least, most]; anything else, booleans, values
+    past float range and fractions where an int is wanted are config errors.  A string
+    is the number it spells, since YAML 1.1 reads an unquoted 1e-5 or 2.0e4 as one: an
+    integer literal by int(), any other by float() and then the rules for a float."""
     try:
-        value = None if isinstance(raw, bool) else kind(raw)
+        try:
+            number = int(raw) if isinstance(raw, str) else raw
+        except ValueError:
+            number = float(raw)
+        value = None if isinstance(raw, bool) else kind(number)
+        # float() raises OverflowError for an int past float range
+        if not math.isfinite(float(number)) or kind is int and value != number:
+            value = None
     except (TypeError, ValueError, OverflowError):
         value = None
-    if value is None or not math.isfinite(value) or isinstance(raw, float) and value != raw:
-        noun = "an integer" if kind is int else "a finite number"
+    if value is None:
+        noun = "an integer within float range" if kind is int else "a finite number"
         raise ConfigError(f"{where} must be {noun}, got {raw!r}")
     if value < least:
         raise ConfigError(f"{where} must be at least {least}, got {value}")
+    if value > most:
+        raise ConfigError(f"{where} must be at most {most}, got {value}")
     return value
 
 
@@ -98,7 +108,8 @@ def _choice(*options: str):
 
 
 _REQUIRED = object()  # the default of a key its section must give
-_SAMPLES = partial(_number, kind=int, least=MIN_SAMPLES)
+# a sample count is a range's length, which cannot pass sys.maxsize
+_SAMPLES = partial(_number, kind=int, least=MIN_SAMPLES, most=sys.maxsize)
 # an allocation id, as text one CSV cell can hold
 _ID = _kind(
     lambda raw: type(raw) in (str, int) and str(raw) != "" and not set(str(raw)) & set(',"\r\n'),
@@ -149,7 +160,8 @@ def load_scenario(path: str) -> Scenario:
             raw = yaml.safe_load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
+    # PyYAML raises ValueError on a bad date or a 5,000-digit int, RecursionError on deep nesting
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ConfigError(f"malformed YAML in {path}: {' '.join(str(exc).split())}") from exc
     top = _fields(raw, _FIELDS["scenario"], "scenario")
     users = tuple(
@@ -350,8 +362,8 @@ def cmd_codeparams(
     (result,) = rate_region_sweep(cfg, pinned, scenario.samples, scenario.seed, workers=workers)
     params = select_code_params(cfg, alloc, result.rates)
     print(f"allocation {alloc_id} scheme {alloc.scheme_type}")
-    for entry, report in zip(params, result.reports):
-        label = cfg.order[entry.user] + 1
+    for k, (entry, report) in enumerate(zip(params, result.reports)):
+        label = cfg.order[k] + 1
         note = "  (degenerate)" if entry.degenerate else ""
         print(
             f"user {label}: R={report.rate:.6g} b/sym, info_bits={entry.info_bits}, "

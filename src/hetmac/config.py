@@ -128,10 +128,6 @@ class ChannelConfig:
     def users(self) -> int:
         return len(self.snr)
 
-    @property
-    def snr_db(self) -> tuple[float, ...]:
-        return tuple(10.0 * math.log10(s) for s in self.snr)
-
     def subblock_lengths(self, k: int) -> tuple[int, ...]:
         """Symbols per sub-block for user k: N_l - N_{l-1} with N_{-1} = 0."""
         prev = 0

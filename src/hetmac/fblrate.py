@@ -148,7 +148,7 @@ def _gaussian_block_rate(
     cfg: ChannelConfig, k: int, sinrs: Sequence[float]
 ) -> float:
     """Normal approximation across sub-blocks with Gaussian inputs."""
-    stats = [DensityStats(math.log2(1.0 + s), gaussian_dispersion(s), 0.0, 0.0, 0) for s in sinrs]
+    stats = [DensityStats(math.log2(1.0 + s), gaussian_dispersion(s), 0.0, 0) for s in sinrs]
     return max(0.0, fbl_rate(cfg, stats, k))
 
 

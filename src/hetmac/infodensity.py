@@ -87,23 +87,21 @@ class DensityStats:
     mi: float
     dispersion: float
     third_moment: float
-    std_error: float
     samples: int
+
+    @property
+    def std_error(self) -> float:
+        """Standard error of mi: sqrt(dispersion / samples), 0 without samples."""
+        return math.sqrt(self.dispersion / self.samples) if self.samples else 0.0
 
     @classmethod
     def zeros(cls) -> "DensityStats":
-        return cls(0.0, 0.0, 0.0, 0.0, 0)
+        return cls(0.0, 0.0, 0.0, 0)
 
 
 def _task_seed(seed: int, k: int, l: int) -> int:
     # common random numbers keyed by (user, sub-block): equal parts present give equal stats
     return (seed * 0x9E3779B9 + k * 65537 + l * 257) & 0x7FFFFFFFFFFFFFFF
-
-
-def _received_rails(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) -> tuple:
-    """received_rail of user k and of its interferers in sub-block l."""
-    interferers = [i for i in range(l, cfg.users) if i != k]
-    return received_rail(sig, cfg, [k], l), received_rail(sig, cfg, interferers, l)
 
 
 def _receive_tables(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) -> tuple:
@@ -118,7 +116,8 @@ def _receive_tables(cfg: ChannelConfig, sig: SchemeSignaling, k: int, l: int) ->
     received_rail's size cap, so the two tables hold at most 2^20 + 1
     columns together.
     """
-    (own, own_parts), (w, w_parts) = _received_rails(cfg, sig, k, l)
+    own, own_parts = received_rail(sig, cfg, [k], l)
+    w, w_parts = received_rail(sig, cfg, [i for i in range(l, cfg.users) if i != k], l)
     return own, w, _iq_table(own.size, own_parts), _iq_table(w.size, w_parts)
 
 
@@ -195,28 +194,6 @@ def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np
     return d[:n] + d[n:]
 
 
-def information_density(
-    y: complex,
-    cfg: ChannelConfig,
-    sig: SchemeSignaling,
-    k: int,
-    l: int,
-    x_k: complex,
-) -> float:
-    """Density of one received value given the transmitted point x_k.
-
-    x_k is a point of user k's sub-block alphabet (transmit side, before
-    the channel gain).
-    """
-    (own, _), (w, _) = _received_rails(cfg, sig, k, l)
-    sent = complex(x_k) * cfg.h[k]
-    x = np.array([[np.argmin(np.abs(own - sent.real))], [np.argmin(np.abs(own - sent.imag))]])
-    if abs(complex(*own[x[:, 0]]) - sent) > 1e-9 * max(1.0, float(np.abs(own).max())):
-        raise ValueError("x_k is not a point of the user's sub-block alphabet")
-    y = complex(y)
-    return float(_density(np.array([[y.real], [y.imag]]), x, own, w)[0])
-
-
 def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Received rails y[(re, im), j] and sent rail indices x[(re, im), j] of one chunk.
 
@@ -288,18 +265,7 @@ def estimate_stats(
     dispersion = float(np.square(centered).sum() / (samples - 1))
     a = np.abs(centered)
     third = float(np.mean(a * a * a))
-    return DensityStats(
-        mi=mi,
-        dispersion=dispersion,
-        third_moment=third,
-        std_error=math.sqrt(dispersion / samples),
-        samples=samples,
-    )
-
-
-def mi_lower_bound(alloc, k: int, l: int) -> float:
-    """Constant-gap bound: allocated bits minus log2(5*pi*e/6), floored at 0."""
-    return max(0.0, alloc.m[k][l] - MI_GAP_BITS)
+    return DensityStats(mi=mi, dispersion=dispersion, third_moment=third, samples=samples)
 
 
 def tin_sinr(cfg: ChannelConfig, k: int, l: int) -> float:

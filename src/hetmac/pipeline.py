@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, product
-from numbers import Real
+from numbers import Integral, Real
 from typing import Iterator, Sequence
 
 from .config import ChannelConfig
@@ -17,8 +17,9 @@ DEFAULT_ENUMERATION_CAP = 200_000
 
 def _order(v) -> int:
     """An order as an int; a bool, a non-number, a non-finite number or a
-    value int() would change is an error."""
-    if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v) or int(v) != v:
+    value int() would change is an error.  An int of any size is exact."""
+    exact = isinstance(v, Integral) or isinstance(v, Real) and math.isfinite(v) and int(v) == v
+    if isinstance(v, bool) or not exact:
         raise ValueError(f"orders must be integers, got {v!r}")
     return int(v)
 
@@ -100,7 +101,6 @@ def enumerate_allocations(cfg: ChannelConfig, even_only: bool = True) -> list[Bi
 
 @dataclass(frozen=True)
 class UserCodeParams:
-    user: int
     info_bits: int
     codeword_bits: int
 
@@ -131,5 +131,5 @@ def select_code_params(
         codeword = sum(nl * alloc.m[k][l] for l, nl in enumerate(lengths))
         info = max(0, math.floor(rates[k] * cfg.N[k]))
         info = min(info, codeword)
-        entries.append(UserCodeParams(user=k, info_bits=info, codeword_bits=codeword))
+        entries.append(UserCodeParams(info_bits=info, codeword_bits=codeword))
     return tuple(entries)

@@ -239,20 +239,55 @@ class TestScenarioLoading:
         assert not (tmp_path / "r.csv").exists()
 
     def test_unquoted_exponents_load_as_numbers(self, tmp_path):
-        # YAML 1.1 has no float form without a dot, so PyYAML reads these as strings
+        # YAML 1.1 has no float form without a dot, nor an exponent without a sign,
+        # so PyYAML reads these as strings
         text = (
             "users:\n"
-            "  - {snr_db: 1e1, blocklength: 128, target_eps: 1e-5, power: 1e-1, gain: 1e1}\n"
+            "  - {snr_db: 1e1, blocklength: 1e2, target_eps: 1e-5, power: 1e-1, gain: 1e1}\n"
+            "estimator: {samples: 2.0e4, seed: 12}\n"
         )
-        assert yaml.safe_load(text)["users"][0] == {
-            "snr_db": "1e1", "blocklength": 128, "target_eps": "1e-5",
+        raw = yaml.safe_load(text)
+        assert raw["users"][0] == {
+            "snr_db": "1e1", "blocklength": "1e2", "target_eps": "1e-5",
             "power": "1e-1", "gain": "1e1",
         }
+        assert raw["estimator"]["samples"] == "2.0e4"
         path = tmp_path / "exponents.yaml"
         path.write_text(text)
-        (user,) = load_scenario(str(path)).users
+        scenario = load_scenario(str(path))
+        (user,) = scenario.users
         assert (user.snr_db, user.target_eps, user.power, user.gain) == (10.0, 1e-05, 0.1, 10.0)
         assert user.resolve() == pytest.approx((0.1, 10.0, 10.0))
+        # an integer field reads a numeric string as the int it spells
+        assert (user.blocklength, scenario.samples) == (100, 20_000)
+        assert type(user.blocklength) is type(scenario.samples) is int
+        for spelled, value in (("12", 12), ("1_2", 12), ("1.2e1", 12), ("-3", -3)):
+            path.write_text(text.replace("seed: 12", f"seed: '{spelled}'"))
+            assert load_scenario(str(path)).seed == value
+        for bad in ("128.5", "lots", "1e400", "nan"):
+            path.write_text(text.replace("blocklength: 1e2", f"blocklength: '{bad}'"))
+            with pytest.raises(ConfigError, match=r"users\[0\]\.blocklength must be an integer"):
+                load_scenario(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "users: [{snr_db: 24.0, blocklength: 128, target_eps: 1.0e-6}]\n"
+            "estimator: {seed: 2024-02-30}\n",
+            "users: !!int abc\n",
+            "estimator: {seed: 1" + "0" * 4999 + "}\n",
+            "users: " + "[" * 3000 + "\n",
+        ],
+        ids=["impossible_date", "int_tag_on_text", "5000_digit_int", "deep_nesting"],
+    )
+    def test_yaml_constructor_errors_exit_two(self, tmp_path, capsys, text):
+        # PyYAML raises these as ValueError or RecursionError, not as a YAMLError
+        path = tmp_path / "scenario.yaml"
+        path.write_text(text)
+        assert main(["det-verify", "--scenario", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: malformed YAML in {path}: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",
@@ -346,6 +381,57 @@ class TestArgumentChecks:
             load_scenario(path)
         assert main(["region", "--scenario", path, "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error: estimator.samples")
+
+    @pytest.mark.parametrize(
+        "where",
+        ["users[1].blocklength", "estimator.seed", "estimator.samples", "--seed", "--samples"],
+    )
+    def test_integer_past_float_range_rejected(self, tmp_path, capsys, where):
+        payload, extra = base_payload(), []
+        if where.startswith("--"):
+            extra = [where, str(10**400)]
+        elif where.startswith("users"):
+            payload["users"][1]["blocklength"] = 10**400
+        else:
+            payload["estimator"][where.split(".")[1]] = 10**400
+        argv = ["region", "--scenario", write_scenario(tmp_path, payload)]
+        assert main([*argv, "--out", str(tmp_path / "r.csv"), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where} must be an integer within float range, got 1")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("where", ["estimator.samples", "--samples"])
+    def test_samples_past_maxsize_rejected(self, tmp_path, capsys, where):
+        payload, extra = base_payload(), []
+        if where == "--samples":
+            extra = [where, str(10**30)]
+        else:
+            payload["estimator"]["samples"] = 10**30
+        path = write_scenario(tmp_path, payload)
+        assert main(["codeparams", "--scenario", path, "--alloc", "E", *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"config error: {where} must be at most {sys.maxsize}, got {10**30}\n"
+
+    @pytest.mark.parametrize("command", ["region", "det-verify", "codeparams", "constellation"])
+    def test_order_past_float_range_is_infeasible(self, tmp_path, capsys, command):
+        # an order is an exact int of any size, so the tail-sum check rejects it
+        payload = base_payload()
+        payload["allocations"] = [{"id": "E", "m": [[4], [10**400, 4]]}]
+        argv = [command, "--scenario", write_scenario(tmp_path, payload)]
+        argv += {
+            "region": ["--out", str(tmp_path / "r.csv")],
+            "det-verify": [],
+            "codeparams": ["--alloc", "E"],
+            "constellation": ["--alloc", "E", "--component", "1", "--out", str(tmp_path / "p.csv")],
+        }[command]
+        assert main(argv) == EXIT_INFEASIBLE
+        captured = capsys.readouterr()
+        if command == "det-verify":
+            assert f"load {10**400 + 4} / capacity 8" in captured.out
+        else:
+            assert captured.err.startswith("infeasible allocation: ")
+            assert captured.err.count("\n") == 1
 
     def test_non_integer_yaml_samples_rejected(self, tmp_path):
         payload = base_payload()
@@ -574,7 +660,10 @@ def _shared_depth(true_rows):
 
 
 # "a0" repeats the first allocation's id when drawn for another id
-_JUNK = ("abc", None, [1, 2], {"a": 1}, float("nan"), float("inf"), "", [], {}, "E,x", "a0")
+# 10**400 is an int past float range
+_JUNK = (
+    "abc", None, [1, 2], {"a": 1}, float("nan"), float("inf"), "", [], {}, "E,x", "a0", 10**400
+)
 _RARELY = st.integers(0, 19).map(lambda i: i == 7)
 
 
@@ -635,7 +724,7 @@ def _scenario_mappings(draw):
         allocations = []
         for j in range(draw(st.integers(0, 3))):
             rows = len(users) + draw(_RARELY)
-            entry = st.sampled_from([0, 2] * 5 + [1, 4, "x", -1, 2.5, True])
+            entry = st.sampled_from([0, 2] * 5 + [1, 4, "x", -1, 2.5, True, 10**400])
             m = [[draw(entry) for _ in range(k + 1)] for k in range(rows)]
             alloc = {"id": f"a{j}", "m": field(st.just(m))}
             if draw(st.booleans()):

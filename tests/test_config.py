@@ -71,10 +71,6 @@ class TestChannelConfig:
         with pytest.raises(ConfigError):
             ChannelConfig.from_users([UserSpec(None, 100, 1e-4, power=2.0)])
 
-    def test_snr_db_round_trip(self):
-        cfg = ChannelConfig.from_users([UserSpec(17.25, 100, 1e-4)])
-        assert cfg.snr_db[0] == pytest.approx(17.25)
-
 
 def test_zero_length_subblock_contributes_nothing_to_rate():
     from hetmac.fblrate import fbl_rate
@@ -84,8 +80,8 @@ def test_zero_length_subblock_contributes_nothing_to_rate():
         [UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 128, 1e-5)]
     )
     stats = [
-        DensityStats(2.0, 0.5, 0.1, 0.0, 0),
-        DensityStats(9.9, 9.9, 9.9, 0.0, 0),
+        DensityStats(2.0, 0.5, 0.1, 0),
+        DensityStats(9.9, 9.9, 9.9, 0),
     ]
     only_first = fbl_rate(cfg, stats, 1)
     assert only_first == pytest.approx(

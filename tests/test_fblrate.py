@@ -30,7 +30,7 @@ from oracles import density_moments_quadrature, q_bisection
 
 
 def stats(mi, var, third=0.0):
-    return DensityStats(mi=mi, dispersion=var, third_moment=third, std_error=0.0, samples=0)
+    return DensityStats(mi=mi, dispersion=var, third_moment=third, samples=0)
 
 
 def one_user(n=128, eps=1e-6, snr_db=24.0):

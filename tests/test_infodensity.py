@@ -18,8 +18,6 @@ from hetmac.infodensity import (
     DensityStats,
     estimate_stats,
     gaussian_tin_mi,
-    information_density,
-    mi_lower_bound,
     _CHUNK,
     _chunk_draw,
     _density,
@@ -66,33 +64,37 @@ def faint_qpsk_scheme(amplitude: float):
     return cfg, sig
 
 
+def qpsk_density(cfg, sig, ys, xs) -> np.ndarray:
+    """_density of one QPSK user at complex receptions ys, sent points given by
+    their (re, im) rail index pairs xs, on _receive_tables' rails."""
+    own, w, _, _ = _receive_tables(cfg, sig, 0, 0)
+    ys = np.broadcast_to(np.asarray(ys, dtype=complex), (len(xs),))
+    return _density(np.array([ys.real, ys.imag]), np.array(xs).T, own, w)
+
+
 class TestInformationDensity:
     def test_matches_four_term_hand_sum(self):
         cfg, sig = qpsk_scheme(8.0)
-        pts = Constellation(sig.transmit_axis(0, 0)).points
+        own = _receive_tables(cfg, sig, 0, 0)[0]
+        pairs = [(a, b) for a in range(own.size) for b in range(own.size)]
+        pts = [complex(own[a], own[b]) for a, b in pairs]
+        alphabet = Constellation(sig.transmit_axis(0, 0)).points * cfg.h[0]
+        assert np.allclose(np.sort_complex(pts), np.sort_complex(alphabet))
         for y in (0.0 + 0.0j, 0.3 + 0.1j, -1.2 + 2.0j):
-            for x in pts:
+            for x, got in zip(pts, qpsk_density(cfg, sig, y, pairs)):
                 num = math.exp(-abs(y - x) ** 2)
                 den = sum(math.exp(-abs(y - p) ** 2) for p in pts) / 4.0
-                assert information_density(y, cfg, sig, 0, 0, x) == pytest.approx(
-                    math.log2(num / den), abs=1e-9
-                )
+                assert got == pytest.approx(math.log2(num / den), abs=1e-9)
 
     def test_symmetric_point_gives_zero_bits(self):
         cfg, sig = qpsk_scheme(8.0)
-        x = Constellation(sig.transmit_axis(0, 0)).points[0]
-        assert information_density(0j, cfg, sig, 0, 0, x) == pytest.approx(0.0, abs=1e-12)
+        assert qpsk_density(cfg, sig, 0j, [(0, 0)])[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_noiseless_high_snr_approaches_order(self):
         cfg, sig = qpsk_scheme(30.0)
-        x = Constellation(sig.transmit_axis(0, 0)).points[0]
-        val = information_density(complex(x), cfg, sig, 0, 0, x)
+        own = _receive_tables(cfg, sig, 0, 0)[0]
+        val = qpsk_density(cfg, sig, complex(own[0], own[1]), [(0, 1)])[0]
         assert val == pytest.approx(2.0, abs=1e-6)
-
-    def test_foreign_point_rejected(self):
-        cfg, sig = qpsk_scheme(8.0)
-        with pytest.raises(ValueError):
-            information_density(0j, cfg, sig, 0, 0, 123.0 + 0j)
 
     def test_interferer_sum_is_order_invariant(self):
         cfg = ChannelConfig.from_users(
@@ -110,14 +112,13 @@ class TestInformationDensity:
     def test_density_mean_matches_estimator(self):
         cfg, sig = qpsk_scheme(6.0)
         stats = estimate_stats(cfg, sig, 0, 0, samples=20_000, seed=5)
+        own, w, _, _ = _receive_tables(cfg, sig, 0, 0)
         rng = np.random.default_rng(123)
-        pts = Constellation(sig.transmit_axis(0, 0)).points
-        vals = []
-        for _ in range(4000):
-            x = pts[rng.integers(0, 4)]
-            z = (rng.standard_normal() + 1j * rng.standard_normal()) * math.sqrt(0.5)
-            vals.append(information_density(complex(x + z), cfg, sig, 0, 0, x))
-        se = np.std(vals, ddof=1) / math.sqrt(len(vals))
+        # uniform QPSK points are independent uniform (re, im) rail indices
+        x = rng.integers(0, own.size, (2, 4000))
+        y = own[x] + rng.standard_normal((2, 4000)) * math.sqrt(0.5)
+        vals = _density(y, x, own, w)
+        se = np.std(vals, ddof=1) / math.sqrt(vals.size)
         assert abs(np.mean(vals) - stats.mi) < 3 * (se + stats.std_error)
 
 
@@ -367,7 +368,7 @@ class TestEstimateStats:
         cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
         sig = build_scheme(cfg, BitAllocation(m=((0,), (4, 4))))
         stats = estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=1)
-        assert stats == DensityStats(0.0, 0.0, 0.0, 0.0, 0)
+        assert stats == DensityStats(0.0, 0.0, 0.0, 0)
         assert stats.samples == 0
 
     def test_sample_floor(self):
@@ -414,18 +415,11 @@ class TestSumConstellation:
         )
         stats = estimate_stats(sum_cfg, sum_sig, 0, 0, samples=50_000, seed=17)
         total_bits = 8
+        assert MI_GAP_BITS == pytest.approx(math.log2(5 * math.pi * math.e / 6))
         assert stats.mi >= total_bits - MI_GAP_BITS - 3 * stats.std_error
 
 
 class TestClosedForms:
-    def test_mi_lower_bound_values(self):
-        alloc = BitAllocation(m=((4,), (0, 8)))
-        gap = math.log2(5 * math.pi * math.e / 6)
-        assert MI_GAP_BITS == pytest.approx(gap)
-        assert mi_lower_bound(alloc, 0, 0) == pytest.approx(4 - gap)
-        assert mi_lower_bound(alloc, 1, 0) == 0.0
-        assert mi_lower_bound(alloc, 1, 1) == pytest.approx(8 - gap)
-
     def test_gaussian_tin_mi_reference_values(self):
         cfg = ChannelConfig.from_users(
             [UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)]

@@ -11,7 +11,7 @@ from hetmac import detmac, signaling
 from hetmac.cli import load_scenario
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import ConstellationTooLargeError, UnsupportedOrderError
-from hetmac.infodensity import estimate_stats, information_density
+from hetmac.infodensity import estimate_stats
 from hetmac.pipeline import BitAllocation, enumerate_allocations
 from hetmac.signaling import (
     Constellation,
@@ -219,11 +219,9 @@ class TestSuperimpose:
         # alphabets: allocation E loads it with 256 points
         cfg = two_user_cfg()
         sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
-        x = Constellation(sig.transmit_axis(0, 0)).points[0]
         entries = (
             lambda: superimpose(sig, cfg, 0),
             lambda: estimate_stats(cfg, sig, 0, 0, samples=10_000),
-            lambda: information_density(x, cfg, sig, 0, 0, x),
         )
         monkeypatch.setattr(signaling, "DEFAULT_POINT_CAP", 255)
         for entry in entries:
