@@ -21,7 +21,7 @@ from .config import ChannelConfig
 from .errors import InfeasibleAllocationError, UnsupportedOrderError
 from .infodensity import LOG2_E, DensityStats, estimate_stats, tin_sinr
 from .pipeline import BitAllocation
-from .signaling import SchemeSignaling, build_scheme, schemes_identical
+from .signaling import SchemeSignaling, build_scheme, received_rail, schemes_identical
 
 #: Berry-Esseen constant for i.i.d. sums.
 BERRY_ESSEEN_C0 = 0.5600
@@ -265,19 +265,24 @@ def rate_region_sweep(
     layering has an odd window (no square QAM) with its scheme-1 row
     only.  Any other allocation that build_scheme rejects raises its
     error with "allocation <id>: " in front, so a message names it
-    among many.  Each distinct (k, l, parts of users l..K-1 in
-    sub-block l) is estimated once and its DensityStats reused: the
-    stream and the tables depend only on those.
+    among many.
+
+    The sweep plans first and samples second.  Every allocation is
+    built, and every sub-block with bits checked against the size cap
+    (received_rail), in list order before any estimate, so the first
+    failing allocation raises and nothing is sampled.  Each distinct
+    (k, l, parts of users l..K-1 in sub-block l) is then estimated once
+    and its DensityStats reused: the stream and the tables depend only
+    on those.  The estimates run grouped by (k, l), so that each
+    common-random-number stream is drawn once (_stream); the reports
+    keep the allocations' order.
     """
-    memo: dict[tuple, DensityStats] = {}
+    rows = []
+    plan: dict[tuple, tuple] = {}  # memo key -> (sig, k, l), in order of first use
 
-    def stats(sig: SchemeSignaling, k: int, l: int) -> DensityStats:
-        key = (k, l, tuple(sig.parts[(i, l)] for i in range(l, cfg.users)))
-        if key not in memo:
-            memo[key] = estimate_stats(cfg, sig, k, l, samples, seed, workers)
-        return memo[key]
+    def key(sig: SchemeSignaling, k: int, l: int) -> tuple:
+        return (k, l, tuple(sig.parts[(i, l)] for i in range(l, cfg.users)))
 
-    results = []
     for alloc_id, alloc, pinned in allocations:
         wanted = {"1": (1,), "2": (2,), "both": (1, 2)}[pinned or scheme_types]
         built = {}
@@ -293,9 +298,23 @@ def rate_region_sweep(
         else:
             variants = [(str(t), sig) for t, sig in built.items()]
         for label, sig in variants:
-            reports = tuple(
-                build_rate_report(cfg, [stats(sig, k, l) for l in range(k + 1)], k)
-                for k in range(cfg.users)
-            )
-            results.append(SweepResult(alloc_id, label, alloc, sig, reports))
-    return results
+            for k in range(cfg.users):
+                for l in range(k + 1):
+                    sub = key(sig, k, l)
+                    if sub not in plan:
+                        if sig.parts[(k, l)]:
+                            received_rail(sig, cfg, [k], l)  # the size cap, as the estimate meets it
+                        plan[sub] = (sig, k, l)
+            rows.append((alloc_id, label, alloc, sig))
+    # sorted is stable: first-use order within each (k, l)
+    memo = {
+        sub: estimate_stats(cfg, sig, k, l, samples, seed, workers)
+        for sub, (sig, k, l) in sorted(plan.items(), key=lambda item: item[0][:2])
+    }
+    return [
+        SweepResult(alloc_id, label, alloc, sig, tuple(
+            build_rate_report(cfg, [memo[key(sig, k, l)] for l in range(k + 1)], k)
+            for k in range(cfg.users)
+        ))
+        for alloc_id, label, alloc, sig in rows
+    ]

@@ -48,10 +48,12 @@ and the density would be -inf.
 Sampling is organized in fixed-size chunks (_CHUNK samples), each
 driven by its own counter-based Philox stream keyed on (task seed, chunk
 index), the task seed being _task_seed(seed, k, l), so results are
-bit-identical no matter how chunks are scheduled across workers.  A
-chunk draws the sent point and the interferer point as flat indices into
-the 2-D Minkowski-ordered alphabets and reads their coordinates off the
-rails, so each received sample is bit for bit the 2-D sum.
+bit-identical no matter how chunks are scheduled across workers.  The
+stream does not depend on the allocation, so _stream draws it once and
+keeps it for the next estimate of the same (k, l).  A chunk draws the
+sent point and the interferer point as flat indices into the 2-D
+Minkowski-ordered alphabets and reads their coordinates off the rails,
+so each received sample is bit for bit the 2-D sum.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ class DensityStats:
 
 
 def _task_seed(seed: int, k: int, l: int) -> int:
-    # common random numbers keyed by (user, sub-block): equal parts present give equal stats
+    # common random numbers keyed by (user, sub-block), not by allocation: equal parts
+    # present give equal stats, and every estimate of one (k, l) reads the same _stream
     return (seed * 0x9E3779B9 + k * 65537 + l * 257) & 0x7FFFFFFFFFFFFFFF
 
 
@@ -194,23 +197,60 @@ def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np
     return d[:n] + d[n:]
 
 
-def _chunk_draw(seed: int, chunk: int, count: int, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Received rails y[(re, im), j] and sent rail indices x[(re, im), j] of one chunk.
+#: _stream's one-slot cache: ((task seed, samples), u, noise), or None.
+_slot: tuple | None = None
 
-    u_x and u_w pick flat indices into the Minkowski-ordered 2-D alphabets,
-    which the rail-index tables of _receive_tables map to the rails;
+
+def _stream(task: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u[2, S], noise[2, S]): the common random numbers of one task seed.
+
+    Chunk c, samples c * _CHUNK onward, comes from the Philox stream keyed
+    (task, c): two uniform rows, which pick the sent point and the
+    interferer point, then two standard normal rows times sqrt(1/2), the
+    noise's (re, im).  u holds floor(v * 2^32) of each uniform v, as
+    uint32: all _chunk_draw reads of v, in half the bytes of a float.
+    The stream of the last call is kept, read-only, in a one-slot cache
+    that is emptied before another is drawn, so no two streams are held
+    at once.  Concurrent callers may draw the same stream twice, but each
+    returns the stream of its own key.
+    """
+    global _slot
+    slot = _slot
+    if slot is not None and slot[0] == (task, samples):
+        return slot[1], slot[2]
+    _slot = slot = None  # drop both references to the old stream before drawing
+    u = np.empty((2, samples), dtype=np.uint32)
+    noise = np.empty((2, samples))
+    for s in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - s)
+        key = np.array([task, s // _CHUNK], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        # one call per kind draws the same Philox values, in the same order, as one per row;
+        # v * 2^32 is exact and below 2^32, and the cast truncates it
+        u[:, s:s + n] = rng.random((2, n)) * 2.0**32
+        noise[:, s:s + n] = rng.standard_normal((2, n))
+    noise *= math.sqrt(0.5)
+    u.flags.writeable = False
+    noise.flags.writeable = False
+    _slot = ((task, samples), u, noise)
+    return u, noise
+
+
+def _chunk_draw(u: np.ndarray, noise: np.ndarray, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Received rails y[(re, im), j] and sent rail indices x[(re, im), j] of
+    a slice u, noise of a _stream.
+
+    u[0] and u[1] pick flat indices into the Minkowski-ordered 2-D
+    alphabets.  A rail of 2^m levels (a product of square-QAM axes) is an
+    alphabet of 2^(2m) points, so the index floor(v * 2^(2m)) that the
+    uniform v picks is the top 2m of its 32 bits in u, exactly.  The
+    rail-index tables of _receive_tables map the indices to the rails;
     y[0] + 1j * y[1] is bit for bit the 2-D sum of sent point, interferer
     point and noise.
     """
     own, w, own_iq, w_iq = tables
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
-    # one call per kind draws the same Philox values, in the same order, as one per row
-    u_x, u_w = rng.random((2, count))
-    noise = rng.standard_normal((2, count))
-    noise *= math.sqrt(0.5)
-    own_size, w_size = own.size**2, w.size**2
-    x_idx = np.minimum((u_x * own_size).astype(np.int64), own_size - 1)
-    w_idx = np.minimum((u_w * w_size).astype(np.int64), w_size - 1)
+    x_idx = u[0] >> (32 - 2 * (own.size.bit_length() - 1))
+    w_idx = u[1] >> (32 - 2 * (w.size.bit_length() - 1))  # no interferer: shift 32, index 0
     # take, not fancy indexing: a 2-D fancy gather costs several times more here
     x = own_iq.take(x_idx, axis=1)
     y = own.take(x) + w.take(w_iq.take(w_idx, axis=1)) + noise
@@ -230,8 +270,10 @@ def estimate_stats(
 
     Chunk c draws from the Philox stream keyed (_task_seed(seed, k, l), c),
     so the result is the one `hetmac region` reports at this seed, at any
-    worker count.  `workers` (at least 1) threads share the chunks, thread
-    s taking chunks s, s + workers, ...; thread 0 is the caller's own.  A
+    worker count, and whatever was estimated before: the stream is the
+    one _stream keeps for consecutive calls with the same (k, l).
+    `workers` (at least 1) threads share the chunks, thread s taking
+    chunks s, s + workers, ...; thread 0 is the caller's own.  A
     sub-block without bits has all-zero stats and samples 0.  The noise
     has unit variance per complex sample, the SNR being carried entirely
     by the scaled constellations and channel gains.
@@ -241,30 +283,33 @@ def estimate_stats(
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for stable moments")
     tables = _receive_tables(cfg, sig, k, l)
-    task = _task_seed(seed, k, l)
-
-    def chunk(c: int) -> np.ndarray:
-        y, x = _chunk_draw(task, c, min(_CHUNK, samples - c * _CHUNK), tables)
-        return _density(y, x, tables[0], tables[1])
+    u, noise = _stream(_task_seed(seed, k, l), samples)
+    dens = np.empty(samples)
 
     chunks = range((samples + _CHUNK - 1) // _CHUNK)
     stride = min(workers, len(chunks))
 
-    def stripe(s: int) -> list[np.ndarray]:
-        return [chunk(c) for c in chunks[s::stride]]
+    def stripe(s: int) -> None:
+        for c in chunks[s::stride]:
+            part = slice(c * _CHUNK, (c + 1) * _CHUNK)
+            y, x = _chunk_draw(u[:, part], noise[:, part], tables)
+            dens[part] = _density(y, x, tables[0], tables[1])
 
     # the caller runs stripe 0 itself, so one worker starts no thread: a caller
     # waiting on a one-thread pool made a one-worker region run ~9% slower (2-core VM)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         rest = [pool.submit(stripe, s) for s in range(1, stride)]
-        stripes = [stripe(0), *(f.result() for f in rest)]
-    dens = np.concatenate([stripes[c % stride][c // stride] for c in chunks])
+        stripe(0)
+        for f in rest:
+            f.result()
     mi = float(dens.mean())
-    centered = dens - mi
+    dens -= mi
     # a numpy reduction, not BLAS ddot: its bits and threads would follow the BLAS build
-    dispersion = float(np.square(centered).sum() / (samples - 1))
-    a = np.abs(centered)
-    third = float(np.mean(a * a * a))
+    sq = np.square(dens)
+    dispersion = float(sq.sum() / (samples - 1))
+    np.abs(dens, out=dens)
+    sq *= dens  # (a * a) * a with a = |centered|: a * a is the square, bit for bit
+    third = float(sq.mean())
     return DensityStats(mi=mi, dispersion=dispersion, third_moment=third, samples=samples)
 
 

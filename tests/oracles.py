@@ -166,10 +166,10 @@ def density_1d_reference(
         return np.log2(num / den)
 
 
-def philox_draw_2d(seed: int, chunk: int, count: int, own: np.ndarray, w: np.ndarray):
-    """(y, sent index) of one Monte Carlo chunk drawn on the 2-D alphabets.
+def philox_chunk(seed: int, chunk: int, count: int):
+    """(u_x, u_w, noise) of one Monte Carlo chunk, in four calls.
 
-    The stream is Philox keyed on (seed, chunk): uniforms pick the sent
+    The stream is Philox keyed on (seed, chunk): uniforms for the sent
     point and the interferer point, then unit-variance complex noise.
     """
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
@@ -178,6 +178,12 @@ def philox_draw_2d(seed: int, chunk: int, count: int, own: np.ndarray, w: np.nda
     noise = rng.standard_normal(count) * math.sqrt(0.5) + 1j * (
         rng.standard_normal(count) * math.sqrt(0.5)
     )
+    return u_x, u_w, noise
+
+
+def philox_draw_2d(seed: int, chunk: int, count: int, own: np.ndarray, w: np.ndarray):
+    """(y, sent index) of one Monte Carlo chunk drawn on the 2-D alphabets."""
+    u_x, u_w, noise = philox_chunk(seed, chunk, count)
     x_idx = np.minimum((u_x * own.size).astype(np.int64), own.size - 1)
     w_idx = np.minimum((u_w * w.size).astype(np.int64), w.size - 1)
     return own[x_idx] + w[w_idx] + noise, x_idx

@@ -950,6 +950,32 @@ class TestRegion:
         assert capsys.readouterr().err.startswith(f"config error: cannot write {out}: ")
         assert calls == []
 
+    @pytest.mark.parametrize(
+        "snrs, failing, code",
+        [
+            ((24.0, 12.0), [[2], [6, 0]], EXIT_INFEASIBLE),  # user 2 over its level 4
+            ((66.0, 6.0), [[20], [2, 2]], EXIT_VIOLATION),  # 2**22 points in component 1
+        ],
+    )
+    def test_failing_allocation_exits_before_any_sampling(
+        self, tmp_path, capsys, monkeypatch, snrs, failing, code
+    ):
+        import hetmac.fblrate as fblrate_mod
+
+        calls = []
+        monkeypatch.setattr(fblrate_mod, "estimate_stats", lambda *a, **kw: calls.append(a))
+        payload = base_payload()
+        payload["users"][0]["snr_db"], payload["users"][1]["snr_db"] = snrs
+        # two valid allocations first: the sweep builds and checks all before it samples
+        payload["allocations"] = [
+            {"id": "S", "m": [[2], [0, 2]]}, {"id": "T", "m": [[2], [2, 2]]},
+            {"id": "Z", "m": failing},
+        ]
+        argv = ["region", "--scenario", write_scenario(tmp_path, payload), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert calls == []
+
     @pytest.mark.parametrize("existing", [b"earlier bytes\n", None])
     def test_infeasible_run_leaves_output_as_found(self, tmp_path, capsys, existing):
         payload = base_payload()
@@ -977,6 +1003,29 @@ def test_component_cap_gives_one_message_everywhere(tmp_path, capsys):
         assert main([*argv, "--scenario", path]) == EXIT_VIOLATION
         errors.append(capsys.readouterr().err)
     assert errors == ["error: superimposed cardinality exceeds cap 1048576\n"] * 3
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "order, code, message",
+    [
+        ("XY", EXIT_VIOLATION, "error: superimposed cardinality exceeds cap 1048576"),
+        ("YX", EXIT_INFEASIBLE, "infeasible allocation: allocation Y: "),
+    ],
+)
+def test_first_failing_allocation_in_list_order_decides(tmp_path, capsys, order, code, message):
+    # 66 / 6 dB, levels 22 / 2: X holds 2**22 points in component 1, over the cap,
+    # and Y gives user 1 24 bits, over its level
+    payload = base_payload()
+    payload["users"][0]["snr_db"], payload["users"][1]["snr_db"] = 66.0, 6.0
+    failing = {"X": [[20], [2, 2]], "Y": [[24], [0, 2]]}
+    payload["allocations"] = [{"id": "S", "m": [[2], [0, 2]]}] + [
+        {"id": i, "m": failing[i]} for i in order
+    ]
+    argv = ["region", "--scenario", write_scenario(tmp_path, payload), "--out", str(tmp_path / "r.csv")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
     assert not (tmp_path / "r.csv").exists()
 
 

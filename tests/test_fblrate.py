@@ -1,12 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, erfcinv
 
 import hetmac.fblrate as fblrate
+import hetmac.infodensity as infodensity
 from hetmac.config import ChannelConfig, UserSpec
+from hetmac.errors import InfeasibleAllocationError
 from hetmac.fblrate import (
     BenchmarkRegion,
     berry_esseen_constant,
@@ -22,7 +25,13 @@ from hetmac.fblrate import (
     rate_region_sweep,
     refined_epsilon,
 )
-from hetmac.infodensity import DensityStats, _receive_tables, estimate_stats, gaussian_tin_mi
+from hetmac.infodensity import (
+    DensityStats,
+    _receive_tables,
+    _task_seed,
+    estimate_stats,
+    gaussian_tin_mi,
+)
 from hetmac.pipeline import BitAllocation, enumerate_allocations
 from hetmac.signaling import Constellation, build_scheme
 
@@ -340,6 +349,34 @@ class TestSweep:
                         tables = _receive_tables(cfg, res.signaling, k, l)
                         subblocks.append((k, l, *(t.tobytes() for t in tables)))
         assert len(sampled) == len(set(subblocks)) < len(subblocks)
+
+    def test_enumerated_sweep_draws_each_stream_once(self, monkeypatch):
+        # 3 (k, l) with bits, each drawn as 3 Philox chunks of at most 4096 samples;
+        # drawn once per sampled estimate instead, the 20 estimates would read 20 * 3
+        cfg = two_user()
+        monkeypatch.setattr(infodensity, "_slot", None)
+        keys, true_philox = [], np.random.Philox
+
+        def counting(*args, key, **kwargs):
+            keys.append(tuple(int(v) for v in key))
+            return true_philox(*args, key=key, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        rate_region_sweep(cfg, enumerated(cfg), samples=10_000, seed=3)
+        tasks = [_task_seed(3, k, l) for k, l in ((0, 0), (1, 0), (1, 1))]
+        assert sorted(keys) == sorted((t, c) for t in tasks for c in range(3))
+
+    def test_first_failing_allocation_raises_before_any_estimate(self, monkeypatch):
+        # the infeasible allocation comes after two valid ones
+        calls = count_estimates(monkeypatch)
+        allocs = [
+            ("E", BitAllocation(m=((4,), (4, 4))), None),
+            ("C", BitAllocation(m=((6,), (2, 4))), None),
+            ("Y", BitAllocation(m=((2,), (6, 0))), None),
+        ]
+        with pytest.raises(InfeasibleAllocationError, match="^allocation Y: "):
+            rate_region_sweep(two_user(), allocs, samples=10_000, seed=3)
+        assert calls == []
 
 
 def enumerated(cfg):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hetmac
+from hetmac import infodensity
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import UnsupportedOrderError
 from hetmac.infodensity import (
@@ -23,6 +25,7 @@ from hetmac.infodensity import (
     _density,
     _density_1d,
     _receive_tables,
+    _stream,
 )
 from hetmac.pipeline import BitAllocation, enumerate_allocations
 from hetmac.signaling import (
@@ -36,6 +39,7 @@ from oracles import (
     density_1d_reference,
     density_bruteforce_2d,
     density_moments_quadrature,
+    philox_chunk,
     philox_draw_2d,
     receive_alphabets_2d,
     tin_mi_quadrature,
@@ -160,8 +164,10 @@ def assert_matches_bruteforce_2d(cfg, sig, k, l, seed, chunk, noise_scale):
         assert iq.shape == (2, pts.size)
         assert np.array_equal(rails[iq[0]], pts.real)
         assert np.array_equal(rails[iq[1]], pts.imag)
-    # the Philox draw picks the same sent point and the same y as on the 2-D grid
-    y, x = _chunk_draw(seed, chunk, 32, tables)
+    # the Philox draw picks the same sent point and the same y as on the 2-D grid:
+    # chunk `chunk` of a stream whose last chunk holds 32 samples
+    u, noise = _stream(seed, chunk * _CHUNK + 32)
+    y, x = _chunk_draw(u[:, chunk * _CHUNK:], noise[:, chunk * _CHUNK:], tables)
     y2d, x_idx = philox_draw_2d(seed, chunk, 32, own2d, w2d)
     assert np.array_equal(y[0], y2d.real) and np.array_equal(y[1], y2d.imag)
     assert np.array_equal(own_iq[:, x_idx], x)
@@ -386,6 +392,66 @@ class TestEstimateStats:
             sig = build_scheme(cfg, alloc)
             stats.append(estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=11))
         assert stats[0] == stats[1]
+
+
+class TestStream:
+    def test_chunks_are_the_four_call_draws(self):
+        # 10,001 samples: two full chunks and a partial last one
+        samples = 2 * _CHUNK + 1809
+        u, noise = _stream(123, samples)
+        assert u.shape == noise.shape == (2, samples)
+        assert u.dtype == np.uint32
+        for c in range(3):
+            s = slice(c * _CHUNK, (c + 1) * _CHUNK)
+            u_x, u_w, want = philox_chunk(123, c, min(_CHUNK, samples - c * _CHUNK))
+            # u keeps the top 32 bits of each uniform: floor(v * 2^32), exactly
+            assert np.array_equal(u[0, s], np.floor(u_x * 2.0**32))
+            assert np.array_equal(u[1, s], np.floor(u_w * 2.0**32))
+            assert np.array_equal(noise[0, s], want.real)
+            assert np.array_equal(noise[1, s], want.imag)
+
+    def test_cached_stream_is_read_only(self):
+        for a in _stream(5, 10_000):
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    def test_one_stream_is_kept(self, monkeypatch):
+        monkeypatch.setattr(infodensity, "_slot", None)
+        first = _stream(5, 10_000)
+        assert all(a is b for a, b in zip(_stream(5, 10_000), first))
+        for other in ((6, 10_000), (5, 10_001)):
+            assert _stream(*other)[0] is not first[0]
+        assert infodensity._slot[0] == (5, 10_001)
+
+    def test_cold_and_warm_stream_give_the_same_bits(self, monkeypatch):
+        cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
+        sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(infodensity, "_slot", None)
+            for _ in range(2):  # cold, then warm
+                stats = estimate_stats(cfg, sig, 1, 0, samples=10_001, seed=4, workers=workers)
+                runs.append([float(v).hex() for v in vars(stats).values()])
+        assert runs == [runs[0]] * 4
+
+    def test_concurrent_callers_each_read_their_own_stream(self):
+        # three (k, l) streams fought over by more threads than cores, switching often
+        cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
+        sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
+        tasks = [(0, 0), (1, 0), (1, 1)] * 4
+
+        def estimate(kl):
+            return estimate_stats(cfg, sig, *kl, samples=10_000, seed=4)
+
+        want = [estimate(kl) for kl in tasks]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                got = list(pool.map(estimate, tasks, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
 
 class TestSumConstellation:
