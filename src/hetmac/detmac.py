@@ -12,14 +12,15 @@ achieved_rates packs each user's full-rank block straight into those
 rows at its column offset, which is the shifted generator matrix
 without building it; the ranks of the words still prove that the
 windows are disjoint.  The identity witness's ranks of a component are
-computed once per distinct row layout.
+computed once per distinct row layout, and its feasibility report once
+per distinct column.
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasibleAllocationError
@@ -86,33 +87,36 @@ class DetConfig:
     Users are 0-indexed and sorted so that n is nonincreasing; m[k] has
     k+1 entries, one per component the user participates in.  Infeasible
     tables are allowed here: feasibility is a property to verify
-    (verify_region), not a construction invariant.
+    (verify_region), not a construction invariant.  columns[l] is column
+    l of the table, m[k][l] for users k = l..K-1.
     """
 
     n: tuple[int, ...]
     m: tuple[tuple[int, ...], ...]
+    # derived from m, so neither compared nor shown
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if any(v < 0 for v in self.n):
+        n = self.n
+        if n and min(n) < 0:
             raise ValueError("bit levels must be nonnegative")
-        if any(self.n[i] < self.n[i + 1] for i in range(len(self.n) - 1)):
+        if list(n) != sorted(n, reverse=True):
             raise ValueError("bit levels must be sorted nonincreasing")
-        if len(self.m) != len(self.n):
+        if len(self.m) != len(n):
             raise ValueError("allocation table must have one row per user")
         for k, row in enumerate(self.m):
             if len(row) != k + 1:
                 raise ValueError(f"allocation row {k} must have {k + 1} entries")
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise ValueError("allocation entries must be nonnegative")
+        m = self.m
+        object.__setattr__(
+            self, "columns", tuple([tuple([row[l] for row in m[l:]]) for l in range(len(m))])
+        )
 
     @property
     def users(self) -> int:
         return len(self.n)
-
-    @functools.cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column l of the table for every component l: m[k][l] for users k = l..K-1."""
-        return tuple(tuple(self.m[k][l] for k in range(l, self.users)) for l in range(self.users))
 
 
 @dataclass(frozen=True)
@@ -148,18 +152,26 @@ def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, 
     return best
 
 
+@functools.lru_cache(maxsize=1024)
+def _component_feasibility(
+    n: tuple[int, ...], l: int, m_col: tuple[int, ...]
+) -> ComponentFeasibility:
+    """Component l's binding tail, once per distinct (levels, component, column)."""
+    return ComponentFeasibility(l, *_binding_tail(n, m_col, l))
+
+
 def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
     """Every tail-sum constraint of every component, reduced to the binding one.
 
     Within component l, users k >= l must satisfy sum_{i>=k} m[i][l] <= n[k];
     the component capacity check alone (k = l) is not sufficient for the
     layered constructions below to exist.  Each component reports its
-    tail with the least slack, ties going to the smallest user.
+    tail with the least slack, ties going to the smallest user.  A
+    component's report depends only on the levels and its column, so
+    tables that share a column share one frozen report.
     """
-    return tuple(
-        ComponentFeasibility(l, *_binding_tail(cfg.n, m_col, l))
-        for l, m_col in enumerate(cfg.columns)
-    )
+    n = cfg.n
+    return tuple([_component_feasibility(n, l, m_col) for l, m_col in enumerate(cfg.columns)])
 
 
 def allocation_feasible(cfg: DetConfig) -> bool:
@@ -303,10 +315,8 @@ def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...]
     layout directly, once per distinct (levels, component, column,
     scheme) while _component_rows' cache holds it.
     """
-    return tuple(
-        _component_rows(cfg.n, l, m_col, scheme_type)
-        for l, m_col in enumerate(cfg.columns)
-    )
+    n = cfg.n
+    return tuple([_component_rows(n, l, m_col, scheme_type) for l, m_col in enumerate(cfg.columns)])
 
 
 def achieved_rates(
@@ -323,12 +333,13 @@ def achieved_rates(
     path, whose ranks are computed once per distinct (level, rows).
     """
     rates = {}
+    n = cfg.n
     for l, rows in enumerate(_depth_rows(cfg, scheme_type)):
-        blocks = [f_blocks.get((k, l)) for k in range(l, cfg.users)] if f_blocks else ()
+        blocks = [f_blocks.get((k, l)) for k in range(l, len(n))] if f_blocks else ()
         if any(blocks):  # an F2Matrix is always true, a missing block None
-            ranks = _component_ranks(cfg.n[l], rows, blocks)
+            ranks = _component_ranks(n[l], rows, blocks)
         else:
-            ranks = _identity_ranks(cfg.n[l], rows)
+            ranks = _identity_ranks(n[l], rows)
         for k, r in enumerate(ranks, l):
             rates[(k, l)] = r
     return rates

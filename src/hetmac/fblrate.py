@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .config import ChannelConfig
 from .errors import InfeasibleAllocationError, UnsupportedOrderError
-from .infodensity import LOG2_E, DensityStats, estimate_stats, tin_sinr
+from .infodensity import LOG2_E, DensityStats, estimate_stats, release_stream, tin_sinr
 from .pipeline import BitAllocation
 from .signaling import SchemeSignaling, build_scheme, received_rail, schemes_identical
 
@@ -274,8 +274,9 @@ def rate_region_sweep(
     (k, l, parts of users l..K-1 in sub-block l) is then estimated once
     and its DensityStats reused: the stream and the tables depend only
     on those.  The estimates run grouped by (k, l), so that each
-    common-random-number stream is drawn once (_stream); the reports
-    keep the allocations' order.
+    common-random-number stream is drawn once (_stream), and the last
+    one is released when the sweep ends, returning or raising; the
+    reports keep the allocations' order.
     """
     rows = []
     plan: dict[tuple, tuple] = {}  # memo key -> (sig, k, l), in order of first use
@@ -307,10 +308,13 @@ def rate_region_sweep(
                         plan[sub] = (sig, k, l)
             rows.append((alloc_id, label, alloc, sig))
     # sorted is stable: first-use order within each (k, l)
-    memo = {
-        sub: estimate_stats(cfg, sig, k, l, samples, seed, workers)
-        for sub, (sig, k, l) in sorted(plan.items(), key=lambda item: item[0][:2])
-    }
+    try:
+        memo = {
+            sub: estimate_stats(cfg, sig, k, l, samples, seed, workers)
+            for sub, (sig, k, l) in sorted(plan.items(), key=lambda item: item[0][:2])
+        }
+    finally:
+        release_stream()
     return [
         SweepResult(alloc_id, label, alloc, sig, tuple(
             build_rate_report(cfg, [memo[key(sig, k, l)] for l in range(k + 1)], k)

@@ -236,6 +236,12 @@ def _stream(task: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
     return u, noise
 
 
+def release_stream() -> None:
+    """Empty _stream's slot: a finished sweep holds no stream, 24 bytes per sample."""
+    global _slot
+    _slot = None
+
+
 def _chunk_draw(u: np.ndarray, noise: np.ndarray, tables: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Received rails y[(re, im), j] and sent rail indices x[(re, im), j] of
     a slice u, noise of a _stream.

@@ -18,6 +18,8 @@ DEFAULT_ENUMERATION_CAP = 200_000
 def _order(v) -> int:
     """An order as an int; a bool, a non-number, a non-finite number or a
     value int() would change is an error.  An int of any size is exact."""
+    if type(v) is int:  # the common case, and never a bool: bool is a subclass
+        return v
     exact = isinstance(v, Integral) or isinstance(v, Real) and math.isfinite(v) and int(v) == v
     if isinstance(v, bool) or not exact:
         raise ValueError(f"orders must be integers, got {v!r}")
@@ -33,11 +35,12 @@ class BitAllocation:
     scheme_type: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "m", tuple(tuple(_order(v) for v in row) for row in self.m))
-        for k, row in enumerate(self.m):
+        m = tuple([tuple([_order(v) for v in row]) for row in self.m])
+        object.__setattr__(self, "m", m)
+        for k, row in enumerate(m):
             if len(row) != k + 1:
                 raise ValueError(f"row {k} must have {k + 1} entries")
-            if any(v < 0 for v in row):
+            if min(row) < 0:
                 raise ValueError("orders must be nonnegative")
         if self.scheme_type not in (1, 2):
             raise ValueError("scheme_type must be 1 or 2")
@@ -89,14 +92,14 @@ def enumerate_allocations(cfg: ChannelConfig, even_only: bool = True) -> list[Bi
         total *= len(per_component[0])
         if total > cap:
             raise EnumerationTooLargeError(f"more than {cap} allocations (the enumeration cap)")
-    allocations = [
-        BitAllocation(
-            m=tuple(tuple(chosen[comp][k - comp] for comp in range(k + 1)) for k in range(K))
-        )
+    tables = [
+        tuple([tuple([chosen[comp][k - comp] for comp in range(k + 1)]) for k in range(K)])
         for chosen in product(*per_component)
     ]
-    allocations.sort(key=lambda a: a.flat())
-    return allocations
+    # row k of every table has k + 1 entries, so comparing tables row by row
+    # orders them as their flat tuples do
+    tables.sort()
+    return [BitAllocation(m=m) for m in tables]
 
 
 @dataclass(frozen=True)

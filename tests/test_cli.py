@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -480,6 +481,27 @@ class TestDetVerify:
         # VIOLATION lines a changed draw could bring
         assert main(["det-verify", "--scenario", scenario]) == code
         assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_enumerated_three_user_stdout(self, tmp_path, capsys, seed):
+        # all 1,980 even allocations of 36 / 24 / 12 dB (levels 12 / 8 / 4): every
+        # component line, rate summary and the witness stream behind them; correct
+        # code prints the same bytes at any seed
+        payload = {
+            "users": [
+                {"snr_db": 36.0, "blocklength": 128, "target_eps": 1e-6},
+                {"snr_db": 24.0, "blocklength": 200, "target_eps": 1e-5},
+                {"snr_db": 12.0, "blocklength": 320, "target_eps": 1e-4},
+            ],
+            "estimator": {"samples": 10000, "seed": seed},
+            "flags": {"even_only": True},
+        }
+        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.count("\n") == 9901
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "075191cf963336c9555dd5009a252b8a6d22338b75faad2cb07e5b35aea7d3e6"
+        )
 
     def test_one_region_check_per_allocation(self, monkeypatch, capsys):
         import hetmac.cli as cli_mod

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hetmac.detmac import (
+    ComponentFeasibility,
     DetConfig,
     F2Matrix,
+    _binding_tail,
     _depth_rows,
     achieved_rates,
     allocation_feasible,
@@ -250,6 +252,25 @@ class TestRegion:
         assert not comp.feasible
         assert (comp.first_user, comp.load, comp.capacity) == (1, 6, 4)
         assert not allocation_feasible(cfg)
+
+    @given(_levels_and_table())
+    @settings(max_examples=100, deadline=None)
+    def test_cached_reports_match_a_fresh_binding_tail(self, case):
+        n, m = case
+        cfg = DetConfig(n, m)
+        fresh = tuple(
+            ComponentFeasibility(l, *_binding_tail(n, [m[k][l] for k in range(l, len(n))], l))
+            for l in range(len(n))
+        )
+        assert verify_region(cfg) == fresh
+        assert verify_region(DetConfig(n, m)) == fresh  # a cache hit
+
+    def test_a_shared_column_keeps_each_levels_capacity(self):
+        # column (2, 2) of component 1 binds at user 2's level under both level tuples
+        m = ((2,), (2, 2))
+        for n, capacity in (((8, 4), 4), ((10, 6), 6), ((8, 4), 4)):
+            comp = verify_region(DetConfig(n, m))[0]
+            assert (comp.first_user, comp.load, comp.capacity) == (1, 2, capacity)
 
     @given(_levels_and_table())
     @settings(max_examples=100, deadline=None)

@@ -366,6 +366,26 @@ class TestSweep:
         tasks = [_task_seed(3, k, l) for k, l in ((0, 0), (1, 0), (1, 1))]
         assert sorted(keys) == sorted((t, c) for t in tasks for c in range(3))
 
+    def test_sweep_releases_the_last_stream(self):
+        rate_region_sweep(two_user(), enumerated(two_user())[:3], samples=10_000, seed=3)
+        assert infodensity._slot is None
+
+    def test_raising_sweep_releases_its_stream(self, monkeypatch):
+        true_estimate = fblrate.estimate_stats
+        calls = []
+
+        def failing_second(*args):
+            calls.append(true_estimate(*args))  # the first estimate fills the slot
+            if len(calls) == 2:
+                raise RuntimeError("estimate failed")
+            return calls[-1]
+
+        monkeypatch.setattr(fblrate, "estimate_stats", failing_second)
+        with pytest.raises(RuntimeError, match="estimate failed"):
+            rate_region_sweep(two_user(), enumerated(two_user()), samples=10_000, seed=3)
+        assert len(calls) == 2
+        assert infodensity._slot is None
+
     def test_first_failing_allocation_raises_before_any_estimate(self, monkeypatch):
         # the infeasible allocation comes after two valid ones
         calls = count_estimates(monkeypatch)

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hetmac import pipeline
@@ -14,6 +16,10 @@ from hetmac.pipeline import (
 from hetmac.signaling import Constellation, build_scheme
 
 from oracles import enumerate_tables_brute
+
+
+def _flat(m):
+    return [v for row in m for v in row]
 
 
 def two_user():
@@ -69,8 +75,8 @@ class TestEnumerate:
             [UserSpec(10 * math.log10(50.0), 100, 1e-4), UserSpec(10 * math.log10(10.0), 150, 1e-4)]
         )
         assert cfg.n == (6, 4)
-        got = {a.m for a in enumerate_allocations(cfg, even_only=even_only)}
-        assert got == enumerate_tables_brute(cfg.n, even_only)
+        got = [a.m for a in enumerate_allocations(cfg, even_only=even_only)]
+        assert got == sorted(enumerate_tables_brute(cfg.n, even_only), key=_flat)
 
     def test_three_user_lattice(self):
         cfg = ChannelConfig.from_users(
@@ -81,8 +87,9 @@ class TestEnumerate:
             ]
         )
         assert cfg.n == (4, 2, 1)
-        got = {a.m for a in enumerate_allocations(cfg, even_only=False)}
-        assert got == enumerate_tables_brute(cfg.n, False)
+        for even_only in (True, False):
+            got = [a.m for a in enumerate_allocations(cfg, even_only=even_only)]
+            assert got == sorted(enumerate_tables_brute(cfg.n, even_only), key=_flat)
 
     def test_every_even_allocation_builds_a_scheme(self):
         cfg = two_user()
@@ -91,6 +98,25 @@ class TestEnumerate:
             for (k, l), z in sig.zeta.items():
                 assert 0.0 <= z <= 1.0 + 1e-12
                 assert Constellation(sig.transmit_axis(k, l)).avg_energy <= cfg.P[k] * (1 + 1e-12)
+
+
+class TestOrder:
+    @pytest.mark.parametrize("value", [True, False, 2.5, float("inf"), "4"])
+    def test_rejected(self, value):
+        with pytest.raises(ValueError, match="orders must be integers"):
+            pipeline._order(value)
+
+    @pytest.mark.parametrize(
+        "value, want", [(np.int64(4), 4), (2.0, 2), (Fraction(4, 1), 4), (10**400, 10**400)]
+    )
+    def test_accepted_as_an_exact_int(self, value, want):
+        got = pipeline._order(value)
+        assert type(got) is int and got == want
+
+    def test_allocation_holds_plain_ints(self):
+        alloc = BitAllocation(m=((np.int64(4),), (2.0, Fraction(4, 1))))
+        assert alloc.m == ((4,), (2, 4))
+        assert all(type(v) is int for v in alloc.flat())
 
 
 class TestCodeParams:
