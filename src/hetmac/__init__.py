@@ -4,7 +4,6 @@ decoding, evaluated at finite blocklength."""
 
 from .config import ChannelConfig, UserSpec, bit_levels, db_to_linear
 from .detmac import (
-    DetConfig,
     F2Matrix,
     achieved_rates,
     allocation_feasible,

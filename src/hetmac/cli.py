@@ -313,10 +313,10 @@ def cmd_det_verify(scenario: Scenario) -> int:
     comp_lines: dict[detmac.ComponentFeasibility, str] = {}
     pairs = [(k, l) for k in range(cfg.users) for l in range(k + 1)]
     labels = {(k, l): f"I(user {k + 1}; block {l + 1})=" for k, l in pairs}
+    n = cfg.n
     for alloc_id, alloc, _ in allocations:
-        det = detmac.DetConfig(n=cfg.n, m=alloc.m)
         lines = [f"allocation {alloc_id}: m={alloc.m}"]
-        comps = detmac.verify_region(det)
+        comps = detmac.verify_region(n, alloc)
         for comp in comps:
             line = comp_lines.get(comp)
             if line is None:
@@ -327,20 +327,20 @@ def cmd_det_verify(scenario: Scenario) -> int:
             sys.stdout.write("\n".join(lines) + "\n")
             status = max(status, EXIT_INFEASIBLE)
             continue
-        expected = dict(zip(pairs, chain.from_iterable(det.m)))  # pairs run row by row
+        expected = dict(zip(pairs, chain.from_iterable(alloc.m)))  # pairs run row by row
         for scheme_type in (1, 2):
             # every full-rank witness gives the identity's rates (README), so one random
             # witness runs achieved_rates' block-packing path per distinct (component,
             # column, scheme), the first time it appears; a table that brings no new
             # component is checked on the identity alone
             witness = {}
-            for l, m_col in enumerate(det.columns):
+            for l, m_col in enumerate(alloc.columns):
                 if (l, m_col, scheme_type) not in witnessed:
                     witnessed.add((l, m_col, scheme_type))
                     for k, mk in enumerate(m_col, l):
                         witness[(k, l)] = detmac.random_full_rank(mk, rng)
             for f_blocks in (None, witness) if witness else (None,):
-                rates = detmac.achieved_rates(det, scheme_type, f_blocks)
+                rates = detmac.achieved_rates(n, alloc, scheme_type, f_blocks)
                 if scheme_type == 1 and f_blocks is None:
                     identity_rates = rates
                 if rates != expected:
@@ -389,9 +389,9 @@ def cmd_constellation(
     scenario: Scenario, alloc_id: str, component: int, out_path: str, scheme_type: int | None
 ) -> int:
     cfg = scenario.channel()
-    sig = build_scheme(cfg, _find_alloc(scenario, cfg, alloc_id, scheme_type))
     if not 1 <= component <= cfg.users:
         raise ConfigError(f"component must lie in 1..{cfg.users}")
+    sig = build_scheme(cfg, _find_alloc(scenario, cfg, alloc_id, scheme_type))
     const = superimpose(sig, cfg, component - 1)
     try:
         write_constellation_csv(const, out_path)
@@ -463,11 +463,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_det_verify(scenario)
         if args.command == "codeparams":
             return cmd_codeparams(scenario, args.alloc, args.scheme, args.workers)
-        if args.command == "constellation":
-            return cmd_constellation(
-                scenario, args.alloc, args.component, args.out, args.scheme
-            )
-        raise ConfigError(f"unknown command {args.command}")
+        # the subparsers are required, so argparse has rejected any other command
+        return cmd_constellation(scenario, args.alloc, args.component, args.out, args.scheme)
     except (ConfigError, UnsupportedOrderError, EnumerationTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

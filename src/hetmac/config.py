@@ -19,14 +19,21 @@ MAX_BIT_LEVEL = 1023
 
 
 def bit_levels(snr: float) -> int:
-    """Nonnegative ceiling of log2(SNR), snapping near-integer values."""
+    """Nonnegative ceiling of log2(SNR), snapping near-integer values, at
+    most MAX_BIT_LEVEL."""
     if not 0 < snr < math.inf:
         raise ConfigError(f"SNR must be positive and finite, got {snr:g}")
     r = math.log2(snr)
     nearest = round(r)
     if abs(r - nearest) < _INT_SNAP:
         r = nearest
-    return max(0, math.ceil(r))
+    level = max(0, math.ceil(r))
+    if level > MAX_BIT_LEVEL:
+        raise ConfigError(
+            f"SNR of {10.0 * math.log10(snr):.6g} dB needs {level} bit levels, "
+            f"more than the {MAX_BIT_LEVEL} supported"
+        )
+    return level
 
 
 def db_to_linear(db: float) -> float:
@@ -88,39 +95,34 @@ class ChannelConfig:
         for name in ("P", "h", "N", "eps", "n", "order"):
             if len(getattr(self, name)) != k:
                 raise ConfigError(f"{name} must have one entry per user")
-        if any(e <= 0 or e >= 1 for e in self.eps):
-            raise ConfigError("target error probabilities must lie in (0, 1)")
-        if any(nn <= 0 for nn in self.N):
-            raise ConfigError("blocklengths must be positive")
+        for i, (eps, length) in enumerate(zip(self.eps, self.N)):
+            where = f"users[{self.order[i]}]"  # the user's position in the input
+            if not 0 < eps < 1:
+                raise ConfigError(f"{where}.target_eps must lie in (0, 1), got {eps:g}")
+            if length <= 0:
+                raise ConfigError(f"{where}.blocklength must be positive, got {length}")
         if any(self.N[i] > self.N[i + 1] for i in range(k - 1)):
-            raise ConfigError(
-                "blocklengths must be nondecreasing once users are sorted by SNR"
-            )
+            raise ConfigError("blocklengths must be nondecreasing once users are sorted by SNR")
 
     @classmethod
     def from_users(cls, users: list[UserSpec]) -> "ChannelConfig":
         if not users:
             raise ConfigError("need at least one user")
-        resolved = [u.resolve() for u in users]
-        key = sorted(
-            range(len(users)),
-            key=lambda i: (-resolved[i][2], users[i].blocklength, i),
-        )
-        snr = tuple(resolved[i][2] for i in key)
-        for i, (_, _, s) in enumerate(resolved):
-            level = bit_levels(s)
-            if level > MAX_BIT_LEVEL:
-                raise ConfigError(
-                    f"users[{i}]: SNR of {10.0 * math.log10(s):.6g} dB needs "
-                    f"{level} bit levels, more than the {MAX_BIT_LEVEL} supported"
-                )
+        resolved = []  # (P, |h|, SNR, bit level) per user, in input order
+        for i, u in enumerate(users):
+            try:
+                p, h, snr = u.resolve()
+                resolved.append((p, h, snr, bit_levels(snr)))
+            except ConfigError as exc:
+                raise ConfigError(f"users[{i}]: {exc}") from exc
+        key = sorted(range(len(users)), key=lambda i: (-resolved[i][2], users[i].blocklength, i))
         return cls(
-            snr=snr,
+            snr=tuple(resolved[i][2] for i in key),
             P=tuple(resolved[i][0] for i in key),
             h=tuple(resolved[i][1] for i in key),
             N=tuple(users[i].blocklength for i in key),
             eps=tuple(users[i].target_eps for i in key),
-            n=tuple(bit_levels(s) for s in snr),
+            n=tuple(resolved[i][3] for i in key),
             order=tuple(key),
         )
 

@@ -5,9 +5,11 @@ pipe"); the channel drops the levels below the noise floor by a down
 shift.  Achievable TIN rates reduce to rank identities, so everything
 here is small dense GF(2) linear algebra with bit-packed rows.
 
-component_layout is the one home of the tail-sum rule and of bit
-placement, and _depth_rows reads the word row (depth - 1) of every bit
-off its layout, computed once per distinct component column and scheme.
+Every entry point takes the bit levels n and a pipeline.BitAllocation
+and passes through _binding_tail, the one home of the tail-sum rule and
+of its input checks; component_layout places a column's bits, and
+_depth_rows reads the word row (depth - 1) of every bit off its layout,
+computed once per distinct component column and scheme.
 achieved_rates packs each user's full-rank block straight into those
 rows at its column offset, which is the shifted generator matrix
 without building it; the ranks of the words still prove that the
@@ -20,10 +22,11 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasibleAllocationError
+from .pipeline import BitAllocation
 
 
 @dataclass(frozen=True)
@@ -81,45 +84,6 @@ def random_full_rank(n: int, rng: random.Random) -> F2Matrix:
 
 
 @dataclass(frozen=True)
-class DetConfig:
-    """Per-user bit levels n and the per-component bit allocation table m.
-
-    Users are 0-indexed and sorted so that n is nonincreasing; m[k] has
-    k+1 entries, one per component the user participates in.  Infeasible
-    tables are allowed here: feasibility is a property to verify
-    (verify_region), not a construction invariant.  columns[l] is column
-    l of the table, m[k][l] for users k = l..K-1.
-    """
-
-    n: tuple[int, ...]
-    m: tuple[tuple[int, ...], ...]
-    # derived from m, so neither compared nor shown
-    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        n = self.n
-        if n and min(n) < 0:
-            raise ValueError("bit levels must be nonnegative")
-        if list(n) != sorted(n, reverse=True):
-            raise ValueError("bit levels must be sorted nonincreasing")
-        if len(self.m) != len(n):
-            raise ValueError("allocation table must have one row per user")
-        for k, row in enumerate(self.m):
-            if len(row) != k + 1:
-                raise ValueError(f"allocation row {k} must have {k + 1} entries")
-            if min(row) < 0:
-                raise ValueError("allocation entries must be nonnegative")
-        m = self.m
-        object.__setattr__(
-            self, "columns", tuple([tuple([row[l] for row in m[l:]]) for l in range(len(m))])
-        )
-
-    @property
-    def users(self) -> int:
-        return len(self.n)
-
-
-@dataclass(frozen=True)
 class ComponentFeasibility:
     """Binding tail-sum constraint of one component.
 
@@ -143,7 +107,12 @@ class ComponentFeasibility:
 
 def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, int, int]:
     """(first_user, load, capacity) of component l's tail with the least slack,
-    ties going to the smallest user; m_col covers users l..K-1."""
+    ties going to the smallest user.  n must be nonnegative and nonincreasing
+    and m_col cover users l..K-1, so a table of other than len(n) rows fails."""
+    if list(n) != sorted(n, reverse=True) or n and n[-1] < 0:
+        raise ValueError(f"bit levels must be nonnegative and nonincreasing, got {tuple(n)}")
+    if len(m_col) != len(n) - l:
+        raise ValueError(f"column {l + 1} must cover users {l + 1}..{len(n)}")
     load, best = 0, None
     for k in range(len(n) - 1, l - 1, -1):
         load += m_col[k - l]
@@ -160,7 +129,7 @@ def _component_feasibility(
     return ComponentFeasibility(l, *_binding_tail(n, m_col, l))
 
 
-def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
+def verify_region(n: tuple[int, ...], alloc: BitAllocation) -> tuple[ComponentFeasibility, ...]:
     """Every tail-sum constraint of every component, reduced to the binding one.
 
     Within component l, users k >= l must satisfy sum_{i>=k} m[i][l] <= n[k];
@@ -170,13 +139,12 @@ def verify_region(cfg: DetConfig) -> tuple[ComponentFeasibility, ...]:
     component's report depends only on the levels and its column, so
     tables that share a column share one frozen report.
     """
-    n = cfg.n
-    return tuple([_component_feasibility(n, l, m_col) for l, m_col in enumerate(cfg.columns)])
+    return tuple([_component_feasibility(n, l, m_col) for l, m_col in enumerate(alloc.columns)])
 
 
-def allocation_feasible(cfg: DetConfig) -> bool:
+def allocation_feasible(n: tuple[int, ...], alloc: BitAllocation) -> bool:
     """Full region membership: every tail-sum constraint in every component."""
-    return all(c.feasible for c in verify_region(cfg))
+    return all(c.feasible for c in verify_region(n, alloc))
 
 
 def component_layout(
@@ -199,13 +167,11 @@ def component_layout(
     the slot that the weaker users have left free, each run of
     consecutive depths its own window.  Both keep the windows disjoint.
     """
-    K = len(n)
-    nl = n[component]
-    if len(m_col) != K - component:
-        raise ValueError("m_col must cover users component..K-1")
     if scheme_type not in (1, 2):
         raise ValueError("scheme_type must be 1 or 2")
     first, load, capacity = _binding_tail(n, m_col, component)
+    K = len(n)
+    nl = n[component]
     if load > capacity:
         raise InfeasibleAllocationError(
             f"component {component + 1}: users {first + 1}.. load {load} exceeds level {capacity}"
@@ -306,7 +272,9 @@ def _component_rows(
     )
 
 
-def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _depth_rows(
+    n: tuple[int, ...], alloc: BitAllocation, scheme_type: int
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Word row of every bit: [l][k - l][j] = depth - 1 of user k's j-th depth in component l.
 
     A generator in user k's own frame would hold block row j at row
@@ -315,16 +283,17 @@ def _depth_rows(cfg: DetConfig, scheme_type: int) -> tuple[tuple[tuple[int, ...]
     layout directly, once per distinct (levels, component, column,
     scheme) while _component_rows' cache holds it.
     """
-    n = cfg.n
-    return tuple([_component_rows(n, l, m_col, scheme_type) for l, m_col in enumerate(cfg.columns)])
+    return tuple([_component_rows(n, l, col, scheme_type) for l, col in enumerate(alloc.columns)])
 
 
 def achieved_rates(
-    cfg: DetConfig,
-    scheme_type: int = 1,
+    n: tuple[int, ...],
+    alloc: BitAllocation,
+    scheme_type: int,
     f_blocks: Mapping[tuple[int, int], F2Matrix] | None = None,
 ) -> dict[tuple[int, int], int]:
-    """TIN rate of every (user, component) pair under the chosen scheme.
+    """TIN rate of every (user, component) pair under scheme_type, given
+    apart from alloc.scheme_type because det-verify checks both layerings.
 
     Block row j of user k (f_blocks[(k, l)], the identity 1 << j when
     absent) is packed at word row depth - 1 of k's j-th depth from
@@ -333,8 +302,7 @@ def achieved_rates(
     path, whose ranks are computed once per distinct (level, rows).
     """
     rates = {}
-    n = cfg.n
-    for l, rows in enumerate(_depth_rows(cfg, scheme_type)):
+    for l, rows in enumerate(_depth_rows(n, alloc, scheme_type)):
         blocks = [f_blocks.get((k, l)) for k in range(l, len(n))] if f_blocks else ()
         if any(blocks):  # an F2Matrix is always true, a missing block None
             ranks = _component_ranks(n[l], rows, blocks)

@@ -4,7 +4,7 @@ channel-code parameter derivation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice, product
 from numbers import Integral, Real
 from typing import Iterator, Sequence
@@ -28,15 +28,21 @@ def _order(v) -> int:
 
 @dataclass(frozen=True)
 class BitAllocation:
-    """Modulation orders m[k][l] (bits) per user and sub-block, plus the
-    layering used when translating to QAM."""
+    """The one allocation-table type: modulation orders m[k][l] (bits) per
+    user and sub-block, the layering used when translating to QAM, and
+    columns[l], column l of the table (m[k][l] for k = l..K-1).  The table
+    may be infeasible: detmac.verify_region checks it against the levels."""
 
     m: tuple[tuple[int, ...], ...]
     scheme_type: int = 1
+    # derived from m, so neither compared nor shown
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = tuple([tuple([_order(v) for v in row]) for row in self.m])
         object.__setattr__(self, "m", m)
+        if not m:
+            raise ValueError("an allocation table needs at least one row")
         for k, row in enumerate(m):
             if len(row) != k + 1:
                 raise ValueError(f"row {k} must have {k + 1} entries")
@@ -44,6 +50,9 @@ class BitAllocation:
                 raise ValueError("orders must be nonnegative")
         if self.scheme_type not in (1, 2):
             raise ValueError("scheme_type must be 1 or 2")
+        object.__setattr__(
+            self, "columns", tuple([tuple([row[l] for row in m[l:]]) for l in range(len(m))])
+        )
 
     @property
     def users(self) -> int:

@@ -163,13 +163,12 @@ def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
     component whose column breaks a tail-sum constraint of the layered
     region.
     """
-    m = alloc.m
     K = cfg.users
-    if len(m) != K:
+    if alloc.users != K:
         raise ValueError("allocation table must have one row per user")
     layouts = [
-        detmac.component_layout(cfg.n, [m[i][l] for i in range(l, K)], l, alloc.scheme_type)
-        for l in range(K)
+        detmac.component_layout(cfg.n, m_col, l, alloc.scheme_type)
+        for l, m_col in enumerate(alloc.columns)
     ]
     # (order_bits, level_exponent) per QAM part: one part per depth window
     # (start, end], its exponent counting the bit levels below the window
@@ -199,7 +198,7 @@ def build_scheme(cfg: ChannelConfig, alloc: BitAllocation) -> SchemeSignaling:
         if layout:
             zeta[(k, l)] = energies[(k, l)] / peaks[l]
         else:
-            zeta[(k, l)] = 1.0 if any(m[k]) else 0.0
+            zeta[(k, l)] = 1.0 if any(alloc.m[k]) else 0.0
 
     return SchemeSignaling(parts=parts, energies=energies, zeta=zeta)
 

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from hetmac.config import ChannelConfig, UserSpec
-from hetmac.detmac import DetConfig, achieved_rates, random_full_rank
+from hetmac.detmac import achieved_rates, random_full_rank
 from hetmac.fblrate import (
     epsilon_bound,
     fbl_rate,
@@ -93,16 +93,16 @@ def test_criterion_2_deterministic_achievability():
     t0 = time.time()
     checked = 0
     for _ in range(500):
-        det = _random_feasible_det(rng)
+        n, alloc = _random_feasible_det(rng)
         blocks = {
-            (k, l): random_full_rank(det.m[k][l], rng)
-            for l in range(det.users)
-            for k in range(l, det.users)
+            (k, l): random_full_rank(alloc.m[k][l], rng)
+            for l in range(alloc.users)
+            for k in range(l, alloc.users)
         }
         for scheme_type in (1, 2):
-            rates = achieved_rates(det, scheme_type, blocks)
+            rates = achieved_rates(n, alloc, scheme_type, blocks)
             for (k, l), got in rates.items():
-                assert got == det.m[k][l], (det.n, det.m, scheme_type, (k, l))
+                assert got == alloc.m[k][l], (n, alloc.m, scheme_type, (k, l))
                 checked += 1
     elapsed = time.time() - t0
     assert elapsed < 10.0
@@ -274,7 +274,7 @@ def test_criterion_9_byte_identical_region(tmp_path):
     )
 
 
-def _random_feasible_det(rng: random.Random) -> DetConfig:
+def _random_feasible_det(rng: random.Random) -> tuple[tuple[int, ...], BitAllocation]:
     users = rng.randint(1, 4)
     n = sorted((rng.randint(0, 12) for _ in range(users)), reverse=True)
     m = [[0] * (k + 1) for k in range(users)]
@@ -284,7 +284,7 @@ def _random_feasible_det(rng: random.Random) -> DetConfig:
             v = rng.randint(0, max(0, n[k] - tail))
             m[k][l] = v
             tail += v
-    return DetConfig(n=tuple(n), m=tuple(tuple(row) for row in m))
+    return tuple(n), BitAllocation(m=tuple(tuple(row) for row in m))
 
 
 def _even_compositions(total: int):

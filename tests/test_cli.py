@@ -27,6 +27,7 @@ from hetmac.cli import (
     main,
 )
 from hetmac.errors import ConfigError
+from hetmac.pipeline import BitAllocation
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 UPLINK = str(SCENARIOS / "two_user_uplink.yaml")
@@ -434,6 +435,32 @@ class TestArgumentChecks:
             assert captured.err.startswith("infeasible allocation: ")
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "fields, where",
+        [
+            ({"target_eps": 1.5}, "users[1].target_eps must lie in (0, 1)"),
+            ({"blocklength": 0}, "users[1].blocklength must be positive"),
+            ({"snr_db": None, "power": 2}, "users[1]: power and gain must be given together"),
+            ({"snr_db": None}, "users[1]: user needs snr_db, or power and gain"),
+            ({"snr_db": None, "power": -1, "gain": 1}, "users[1]: SNR must be positive"),
+            ({"power": 0, "gain": 1}, "users[1]: snr_db=36.0 conflicts with power*|gain|^2=0"),
+        ],
+    )
+    def test_user_rule_errors_name_the_position_in_the_file(self, tmp_path, capsys, fields, where):
+        # the bad user is listed second; at 36 dB with the shorter block it sorts first
+        payload = base_payload()
+        payload["users"][1].update({"snr_db": 36.0, "blocklength": 100, **fields})
+        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {where}") and err.count("\n") == 1
+        assert "users[0]" not in err
+
+    def test_unknown_command_is_left_to_the_parser(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", "--scenario", UPLINK])
+        assert exc.value.code == EXIT_CONFIG
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_non_integer_yaml_samples_rejected(self, tmp_path):
         payload = base_payload()
         payload["estimator"]["samples"] = "lots"
@@ -509,9 +536,9 @@ class TestDetVerify:
         calls = []
         true_verify = cli_mod.detmac.verify_region
 
-        def counting(det):
-            calls.append(det.m)
-            return true_verify(det)
+        def counting(n, alloc):
+            calls.append(alloc.m)
+            return true_verify(n, alloc)
 
         monkeypatch.setattr(cli_mod.detmac, "verify_region", counting)
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
@@ -522,8 +549,8 @@ class TestDetVerify:
 
         true_rates = cli_mod.detmac.achieved_rates
 
-        def corrupted(det, scheme_type, f_blocks=None):
-            rates = dict(true_rates(det, scheme_type, f_blocks))
+        def corrupted(n, alloc, scheme_type, f_blocks=None):
+            rates = dict(true_rates(n, alloc, scheme_type, f_blocks))
             first = next(iter(rates))
             rates[first] += 1
             return rates
@@ -542,9 +569,9 @@ class TestDetVerify:
         layouts = []
         true_rates, true_layout = det.achieved_rates, det.component_layout
 
-        def rates(cfg, scheme_type, f_blocks=None):
-            current.append((cfg.n, cfg.m, scheme_type))
-            return true_rates(cfg, scheme_type, f_blocks)
+        def rates(n, alloc, scheme_type, f_blocks=None):
+            current.append((n, alloc.m, scheme_type))
+            return true_rates(n, alloc, scheme_type, f_blocks)
 
         def layout(n, m_col, component, scheme_type):
             layouts.append((tuple(n), component, tuple(m_col), scheme_type))
@@ -571,8 +598,7 @@ class TestDetVerify:
 
         det = cli_mod.detmac
         monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
-        cfg = det.DetConfig(n=(8, 4), m=((4,), (4, 4)))
-        rates = det.achieved_rates(cfg, 1)
+        rates = det.achieved_rates((8, 4), BitAllocation(m=((4,), (4, 4))), 1)
         assert rates[(0, 0)] < 4 and rates[(1, 0)] < 4 and rates[(1, 1)] == 4
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
         assert "VIOLATION" in capsys.readouterr().out
@@ -610,25 +636,25 @@ class TestDetVerify:
             drawn.append(true_draw(n, rng))
             return drawn[-1]
 
-        def rates(cfg, scheme_type, f_blocks=None):
-            calls.append((cfg, scheme_type, dict(f_blocks or {})))
-            return true_rates(cfg, scheme_type, f_blocks)
+        def rates(n, alloc, scheme_type, f_blocks=None):
+            calls.append((alloc, scheme_type, dict(f_blocks or {})))
+            return true_rates(n, alloc, scheme_type, f_blocks)
 
         monkeypatch.setattr(det, "random_full_rank", draw)
         monkeypatch.setattr(det, "achieved_rates", rates)
         scenario = str(DATA / "three_user_detverify.yaml")
         assert main(["det-verify", "--scenario", scenario]) == EXIT_INFEASIBLE
 
-        def key(cfg, l, scheme_type):
-            return l, tuple(cfg.m[k][l] for k in range(l, cfg.users)), scheme_type
+        def key(alloc, l, scheme_type):
+            return l, tuple(alloc.m[k][l] for k in range(l, alloc.users)), scheme_type
 
-        distinct = {key(cfg, l, s) for cfg, s, _ in calls for l in range(cfg.users)}
+        distinct = {key(alloc, l, s) for alloc, s, _ in calls for l in range(alloc.users)}
         witnessed, blocks = [], []
-        for cfg, s, f_blocks in calls:
+        for alloc, s, f_blocks in calls:
             comps = sorted({l for _, l in f_blocks})
             # every user of a new component, in (l, k) order
-            assert list(f_blocks) == [(k, l) for l in comps for k in range(l, cfg.users)]
-            witnessed += [key(cfg, l, s) for l in comps]
+            assert list(f_blocks) == [(k, l) for l in comps for k in range(l, alloc.users)]
+            witnessed += [key(alloc, l, s) for l in comps]
             blocks += f_blocks.values()
         assert len(witnessed) == len(set(witnessed)) == len(distinct)
         assert set(witnessed) == distinct
@@ -668,9 +694,9 @@ def _shared_depth(true_rows):
     """Mutant of detmac._depth_rows: the last user with bits in a component
     reuses the first one's top depth."""
 
-    def shared_depth(cfg, scheme_type):
+    def shared_depth(n, alloc, scheme_type):
         out = []
-        for comp in true_rows(cfg, scheme_type):
+        for comp in true_rows(n, alloc, scheme_type):
             comp = [list(rows) for rows in comp]
             busy = [rows for rows in comp if rows]
             if len(busy) > 1:
@@ -1165,6 +1191,18 @@ class TestConstellationDump:
         )
         assert code == EXIT_CONFIG
 
+
+    @pytest.mark.parametrize("component", ["0", "3"])
+    def test_component_is_checked_before_the_allocation(self, tmp_path, capsys, component):
+        # Y breaks the tail-sum rule (user 2 puts 6 bits under level 4), so building
+        # its scheme first would exit 3
+        payload = base_payload()
+        payload["allocations"] = [{"id": "Y", "m": [[2], [6, 0]]}]
+        out = tmp_path / "c.csv"
+        argv = ["constellation", "--scenario", write_scenario(tmp_path, payload)]
+        assert main([*argv, "--alloc", "Y", "--component", component, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "config error: component must lie in 1..2\n"
+        assert not out.exists()
 
 @pytest.mark.parametrize("seed", [1, 204])
 def test_bench_workload_scenarios_load(tmp_path, monkeypatch, seed):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from hetmac.detmac import (
     ComponentFeasibility,
-    DetConfig,
     F2Matrix,
     _binding_tail,
     _depth_rows,
@@ -20,6 +19,7 @@ from hetmac.detmac import (
     verify_region,
 )
 from hetmac.errors import InfeasibleAllocationError
+from hetmac.pipeline import BitAllocation
 
 from oracles import (
     component_layout_depthwise,
@@ -88,47 +88,46 @@ class TestGenerators:
     # in user k's own frame would hold them n_l - n_k rows higher
     def test_two_user_layout(self):
         # levels (10, 8) with 6+4 bits filling component 1 exactly
-        cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-        rows_0, rows_1 = _depth_rows(cfg, 1)[0]
+        alloc = BitAllocation(m=((6,), (4, 8)))
+        rows_0, rows_1 = _depth_rows((10, 8), alloc, 1)[0]
         # user 1's block occupies the top six rows
         assert rows_0 == (0, 1, 2, 3, 4, 5)
         # generator rows 4..7 of user 2, shifted down by 10 - 8
         assert rows_1 == (6, 7, 8, 9)
 
     def test_empty_message(self):
-        cfg = DetConfig(n=(10, 8), m=((0,), (4, 8)))
-        assert _depth_rows(cfg, 1)[0][0] == ()
+        alloc = BitAllocation(m=((0,), (4, 8)))
+        assert _depth_rows((10, 8), alloc, 1)[0][0] == ()
 
     def test_three_user_disjoint_supports(self):
-        cfg = DetConfig(n=(9, 6, 3), m=((3,), (3, 0), (3, 0, 0)))
-        occupied = [r for rows in _depth_rows(cfg, 1)[0] for r in rows]
+        alloc = BitAllocation(m=((3,), (3, 0), (3, 0, 0)))
+        occupied = [r for rows in _depth_rows((9, 6, 3), alloc, 1)[0] for r in rows]
         assert len(occupied) == len(set(occupied)) == 9
 
     def test_type2_two_user_split(self):
-        cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
+        n, alloc = (10, 8), BitAllocation(m=((6,), (4, 8)))
         # upper part in the top n1-n2 = 2 rows, lower part below user 2's window
-        assert sorted(_depth_rows(cfg, 2)[0][0]) == [0, 1, 6, 7, 8, 9]
-        assert component_layout(cfg.n, [6, 4], 0, 2)[0] == [(0, 2), (6, 10)]
+        assert sorted(_depth_rows(n, alloc, 2)[0][0]) == [0, 1, 6, 7, 8, 9]
+        assert component_layout(n, [6, 4], 0, 2)[0] == [(0, 2), (6, 10)]
 
     def test_type2_single_user_is_top_block(self):
-        cfg = DetConfig(n=(6,), m=((4,),))
-        assert _depth_rows(cfg, 2) == (((0, 1, 2, 3),),)
+        assert _depth_rows((6,), BitAllocation(m=((4,),)), 2) == (((0, 1, 2, 3),),)
 
     def test_type2_full_last_user_has_no_padding(self):
-        cfg = DetConfig(n=(6, 4), m=((2,), (0, 4)))
-        assert _depth_rows(cfg, 2)[1] == ((0, 1, 2, 3),)
+        alloc = BitAllocation(m=((2,), (0, 4)))
+        assert _depth_rows((6, 4), alloc, 2)[1] == ((0, 1, 2, 3),)
 
     def test_infeasible_allocation_raises(self):
-        cfg = DetConfig(n=(3,), m=((4,),))
+        alloc = BitAllocation(m=((4,),))
         with pytest.raises(InfeasibleAllocationError):
-            achieved_rates(cfg, 1)
+            achieved_rates((3,), alloc, 1)
         with pytest.raises(InfeasibleAllocationError):
-            achieved_rates(cfg, 2)
+            achieved_rates((3,), alloc, 2)
 
     def test_bad_f_block_shape(self):
-        cfg = DetConfig(n=(4,), m=((2,),))
+        alloc = BitAllocation(m=((2,),))
         with pytest.raises(ValueError, match="F block must be 2x2"):
-            achieved_rates(cfg, 2, {(0, 0): F2Matrix(2, 3, (1, 2))})
+            achieved_rates((4,), alloc, 2, {(0, 0): F2Matrix(2, 3, (1, 2))})
 
 
 def _rows(f: F2Matrix) -> list[list[int]]:
@@ -150,9 +149,10 @@ class TestMutualInfo:
     @settings(max_examples=100, deadline=None)
     def test_rates_match_concatenation_oracle(self, case, seed):
         n, m = case
-        cfg = DetConfig(n, m)
+        alloc = BitAllocation(m)
+        users = alloc.users
         rng = random.Random(seed)
-        pairs = [(k, l) for l in range(cfg.users) for k in range(l, cfg.users)]
+        pairs = [(k, l) for l in range(users) for k in range(l, users)]
         for scheme_type in (1, 2):
             full_rank = {(k, l): random_full_rank(m[k][l], rng) for k, l in pairs}
             # full rank by the oracle's own rank test, drawn without detmac
@@ -164,38 +164,39 @@ class TestMutualInfo:
                 (k, l): F2Matrix(m[k][l], m[k][l], tuple(rng.getrandbits(m[k][l]) for _ in range(m[k][l])))
                 for k, l in pairs
             }
-            identity = achieved_rates(cfg, scheme_type)
+            identity = achieved_rates(n, alloc, scheme_type)
             for blocks in (None, full_rank, oracle_full_rank, arbitrary):
-                rates = achieved_rates(cfg, scheme_type, blocks)
+                rates = achieved_rates(n, alloc, scheme_type, blocks)
                 if blocks is not arbitrary:
                     # the block diagonal of full-rank witnesses is invertible: no rank moves
                     assert rates == identity
                 assert list(rates) == pairs
-                for l in range(cfg.users):
+                for l in range(users):
                     per_user = None if blocks is None else {
                         k: _rows(f) for (k, fl), f in blocks.items() if fl == l
                     }
                     gens = generator_rows(n, m, l, scheme_type, per_user)
-                    for k in range(l, cfg.users):
+                    for k in range(l, users):
                         assert rates[(k, l)] == det_mutual_info_concat(n, gens, k, l)
 
     @given(_feasible_levels_and_table(users=st.integers(2, 4), top=12))
     @settings(max_examples=50, deadline=None)
     def test_cached_identity_ranks_match_the_packing_path(self, case):
         n, m = case
-        cfg = DetConfig(n, m)
+        alloc = BitAllocation(m)
+        users = alloc.users
         # explicit identity blocks for every pair put each component on the packing path
         ident = {
             (k, l): F2Matrix(m[k][l], m[k][l], tuple(1 << j for j in range(m[k][l])))
-            for l in range(cfg.users)
-            for k in range(l, cfg.users)
+            for l in range(users)
+            for k in range(l, users)
         }
         for scheme_type in (1, 2):
-            cached = achieved_rates(cfg, scheme_type)
-            assert achieved_rates(cfg, scheme_type, ident) == cached
-            for l in range(cfg.users):
+            cached = achieved_rates(n, alloc, scheme_type)
+            assert achieved_rates(n, alloc, scheme_type, ident) == cached
+            for l in range(users):
                 gens = generator_rows(n, m, l, scheme_type)
-                for k in range(l, cfg.users):
+                for k in range(l, users):
                     assert cached[(k, l)] == det_mutual_info_concat(n, gens, k, l)
 
     def test_witness_stream_is_pinned(self):
@@ -219,57 +220,53 @@ class TestMutualInfo:
     def test_random_full_rank_blocks_achieve_allocation(self, scheme_type):
         rng = random.Random(77)
         for _ in range(25):
-            cfg = _random_feasible(rng)
+            n, alloc = _random_feasible(rng)
             blocks = {
-                (k, l): random_full_rank(cfg.m[k][l], rng)
-                for l in range(cfg.users)
-                for k in range(l, cfg.users)
+                (k, l): random_full_rank(alloc.m[k][l], rng)
+                for l in range(alloc.users)
+                for k in range(l, alloc.users)
             }
-            rates = achieved_rates(cfg, scheme_type, blocks)
-            assert all(r == cfg.m[k][l] for (k, l), r in rates.items()), (cfg.n, cfg.m)
+            rates = achieved_rates(n, alloc, scheme_type, blocks)
+            assert all(r == alloc.m[k][l] for (k, l), r in rates.items()), (n, alloc.m)
 
 
 class TestRegion:
     def test_zero_slack_component(self):
-        cfg = DetConfig(n=(8, 4), m=((4,), (4, 4)))
-        comps = verify_region(cfg)
+        comps = verify_region((8, 4), BitAllocation(m=((4,), (4, 4))))
         assert comps[0].load == 8 and comps[0].slack == 0 and comps[0].feasible
         assert comps[1].feasible
 
     def test_all_zero_allocation_feasible(self):
-        cfg = DetConfig(n=(8, 4), m=((0,), (0, 0)))
-        assert all(c.feasible for c in verify_region(cfg))
+        assert all(c.feasible for c in verify_region((8, 4), BitAllocation(m=((0,), (0, 0)))))
 
     def test_direct_violation(self):
-        cfg = DetConfig(n=(3,), m=((4,),))
-        comp = verify_region(cfg)[0]
+        comp = verify_region((3,), BitAllocation(m=((4,),)))[0]
         assert not comp.feasible and comp.slack == -1
 
     def test_binding_tail_below_component_user(self):
         # component 1 holds 8 <= 8 bits, but user 2's tail carries 6 > 4
-        cfg = DetConfig(n=(8, 4), m=((2,), (6, 0)))
-        comp = verify_region(cfg)[0]
+        n, alloc = (8, 4), BitAllocation(m=((2,), (6, 0)))
+        comp = verify_region(n, alloc)[0]
         assert not comp.feasible
         assert (comp.first_user, comp.load, comp.capacity) == (1, 6, 4)
-        assert not allocation_feasible(cfg)
+        assert not allocation_feasible(n, alloc)
 
     @given(_levels_and_table())
     @settings(max_examples=100, deadline=None)
     def test_cached_reports_match_a_fresh_binding_tail(self, case):
         n, m = case
-        cfg = DetConfig(n, m)
         fresh = tuple(
             ComponentFeasibility(l, *_binding_tail(n, [m[k][l] for k in range(l, len(n))], l))
             for l in range(len(n))
         )
-        assert verify_region(cfg) == fresh
-        assert verify_region(DetConfig(n, m)) == fresh  # a cache hit
+        assert verify_region(n, BitAllocation(m)) == fresh
+        assert verify_region(n, BitAllocation(m)) == fresh  # a cache hit
 
     def test_a_shared_column_keeps_each_levels_capacity(self):
         # column (2, 2) of component 1 binds at user 2's level under both level tuples
         m = ((2,), (2, 2))
         for n, capacity in (((8, 4), 4), ((10, 6), 6), ((8, 4), 4)):
-            comp = verify_region(DetConfig(n, m))[0]
+            comp = verify_region(n, BitAllocation(m))[0]
             assert (comp.first_user, comp.load, comp.capacity) == (1, 2, capacity)
 
     @given(_levels_and_table())
@@ -277,7 +274,7 @@ class TestRegion:
     def test_single_rule_matches_brute_oracle(self, case):
         n, m = case
         feasible = m in _brute_tables(n)
-        assert allocation_feasible(DetConfig(n, m)) == feasible
+        assert allocation_feasible(n, BitAllocation(m)) == feasible
         layout_raised = False
         for l in range(len(n)):
             try:
@@ -287,24 +284,63 @@ class TestRegion:
         assert layout_raised == (not feasible)
 
 
+class TestInputChecks:
+    # every entry point passes through _binding_tail, which checks that the levels
+    # are nonnegative and nonincreasing and that each column covers users l..K-1
+    BAD = {
+        "unsorted_levels": ((4, 8), ((2,), (2, 2)), r"nonincreasing, got \(4, 8\)"),
+        "negative_level": ((4, -1), ((2,), (0, 0)), r"nonnegative .*, got \(4, -1\)"),
+        "more_rows": ((8, 4), ((2,), (2, 2), (0, 0, 0)), "column 1 must cover users 1..2"),
+        "fewer_rows": ((8, 4, 2), ((2,), (2, 2)), "column 1 must cover users 1..3"),
+    }
+
+    @pytest.mark.parametrize("case", BAD)
+    def test_table_entry_points_reject(self, case):
+        n, m, message = self.BAD[case]
+        alloc = BitAllocation(m)
+        with pytest.raises(ValueError, match=message):
+            verify_region(n, alloc)
+        with pytest.raises(ValueError, match=message):
+            allocation_feasible(n, alloc)
+        for scheme_type in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                achieved_rates(n, alloc, scheme_type)
+
+    @pytest.mark.parametrize("case", BAD)
+    @pytest.mark.parametrize("scheme_type", [1, 2])
+    def test_component_layout_rejects(self, case, scheme_type):
+        n, m, message = self.BAD[case]
+        m_col = [row[0] for row in m]
+        with pytest.raises(ValueError, match=message):
+            component_layout(n, m_col, 0, scheme_type)
+
+    def test_checks_run_before_the_tail_sum_rule(self):
+        # a negative level is an input error, not an infeasible column
+        with pytest.raises(ValueError, match="nonnegative"):
+            _binding_tail((4, -1), (2, 0), 0)
+        # unsorted levels are rejected, not laid out
+        with pytest.raises(ValueError, match="nonincreasing"):
+            component_layout((4, 8), (2, 2), 0, 1)
+
+
 class TestLayout:
     def test_windows_stay_disjoint_and_within_levels(self):
         rng = random.Random(3)
         for _ in range(50):
-            cfg = _random_feasible(rng)
+            n, alloc = _random_feasible(rng)
             for scheme_type in (1, 2):
-                for l in range(cfg.users):
-                    m_col = [cfg.m[k][l] for k in range(l, cfg.users)]
-                    layout = component_layout(cfg.n, m_col, l, scheme_type)
+                for l in range(alloc.users):
+                    m_col = [alloc.m[k][l] for k in range(l, alloc.users)]
+                    layout = component_layout(n, m_col, l, scheme_type)
                     seen = set()
                     for k, frags in layout.items():
                         for start, end in frags:
-                            assert start >= cfg.n[l] - cfg.n[k]
-                            assert end <= cfg.n[l]
+                            assert start >= n[l] - n[k]
+                            assert end <= n[l]
                             depths = set(range(start + 1, end + 1))
                             assert not depths & seen
                             seen |= depths
-                        assert sum(e - s for s, e in frags) == cfg.m[k][l]
+                        assert sum(e - s for s, e in frags) == alloc.m[k][l]
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -345,7 +381,7 @@ class TestLayout:
                             tuple(m_col[k - l] if j == l else 0 for j in range(k + 1))
                             for k in range(users)
                         )
-                        feasible = verify_region(DetConfig(n, m))[l].feasible
+                        feasible = verify_region(n, BitAllocation(m))[l].feasible
                         got = [layout(n, m_col, l, scheme_type) for scheme_type in (1, 2)]
                         want = component_layout_depthwise(n, m_col, l) if feasible else None
                         if [g is not None for g in got] != [feasible] * 2 or got[1] != want:
@@ -361,7 +397,7 @@ class TestLayout:
         }
 
 
-def _random_feasible(rng: random.Random) -> DetConfig:
+def _random_feasible(rng: random.Random) -> tuple[tuple[int, ...], BitAllocation]:
     users = rng.randint(1, 4)
     n = sorted((rng.randint(0, 12) for _ in range(users)), reverse=True)
     m = [[0] * (k + 1) for k in range(users)]
@@ -371,16 +407,15 @@ def _random_feasible(rng: random.Random) -> DetConfig:
             v = rng.randint(0, max(0, n[k] - tail))
             m[k][l] = v
             tail += v
-    return DetConfig(n=tuple(n), m=tuple(tuple(r) for r in m))
+    return tuple(n), BitAllocation(m=tuple(tuple(r) for r in m))
 
 
 def test_achieved_rates_cover_all_pairs():
-    cfg = DetConfig(n=(10, 8), m=((6,), (4, 8)))
-    rates = achieved_rates(cfg, 1)
+    rates = achieved_rates((10, 8), BitAllocation(m=((6,), (4, 8))), 1)
     assert rates == {(0, 0): 6, (1, 0): 4, (1, 1): 8}
 
 
 def test_achieved_rates_rejects_a_block_of_the_wrong_shape():
-    cfg = DetConfig(n=(10, 8), m=((6,), (2, 8)))
+    alloc = BitAllocation(m=((6,), (2, 8)))
     with pytest.raises(ValueError, match="F block must be 2x2"):
-        achieved_rates(cfg, 1, {(1, 0): F2Matrix(3, 3, (1, 2, 4))})
+        achieved_rates((10, 8), alloc, 1, {(1, 0): F2Matrix(3, 3, (1, 2, 4))})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from hetmac import pipeline
 from hetmac.config import ChannelConfig, UserSpec
-from hetmac.detmac import DetConfig, allocation_feasible
+from hetmac.detmac import allocation_feasible
 from hetmac.errors import EnumerationTooLargeError
 from hetmac.pipeline import (
     BitAllocation,
@@ -162,8 +163,31 @@ class TestBitAllocation:
             BitAllocation(m=((-2,),))
         with pytest.raises(ValueError):
             BitAllocation(m=((2,),), scheme_type=3)
+        with pytest.raises(ValueError, match="at least one row"):
+            BitAllocation(m=())
 
     def test_predicates(self):
         alloc = BitAllocation(m=((6,), (2, 4)))
-        assert allocation_feasible(DetConfig((8, 4), alloc.m))
-        assert not allocation_feasible(DetConfig((6, 4), alloc.m))
+        assert allocation_feasible((8, 4), alloc)
+        assert not allocation_feasible((6, 4), alloc)
+
+    def test_columns_are_the_transposed_table(self):
+        m = ((6,), (2, 4), (0, 2, 2))
+        alloc = BitAllocation(m=m)
+        assert alloc.columns == ((6, 2, 0), (4, 2), (2,))
+        assert alloc.columns == tuple(tuple(m[k][l] for k in range(l, 3)) for l in range(3))
+
+    def test_columns_are_neither_compared_hashed_nor_shown(self):
+        alloc, twin = BitAllocation(m=((6,), (2, 4))), BitAllocation(m=((6,), (2, 4)))
+        object.__setattr__(twin, "columns", ((0, 0), (0,)))  # a table differing only there
+        assert alloc == twin and hash(alloc) == hash(twin)
+        assert repr(alloc) == "BitAllocation(m=((6,), (2, 4)), scheme_type=1)"
+        with pytest.raises(TypeError):
+            BitAllocation(m=((6,), (2, 4)), columns=((6, 2), (4,)))
+
+    def test_replace_recomputes_the_columns(self):
+        alloc = BitAllocation(m=((6,), (2, 4)))
+        object.__setattr__(alloc, "columns", ((0, 0), (0,)))
+        other = replace(alloc, scheme_type=2)
+        assert other.scheme_type == 2 and other.columns == ((6, 2), (4,))
+        assert replace(alloc, m=((4,), (4, 4))).columns == ((4, 4), (4,))
