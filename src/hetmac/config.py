@@ -101,8 +101,14 @@ class ChannelConfig:
                 raise ConfigError(f"{where}.target_eps must lie in (0, 1), got {eps:g}")
             if length <= 0:
                 raise ConfigError(f"{where}.blocklength must be positive, got {length}")
-        if any(self.N[i] > self.N[i + 1] for i in range(k - 1)):
-            raise ConfigError("blocklengths must be nondecreasing once users are sorted by SNR")
+        for i in range(k - 1):
+            # users of equal SNR sort by blocklength, so the first user has the higher SNR
+            if self.N[i] > self.N[i + 1]:
+                raise ConfigError(
+                    f"users[{self.order[i]}] has a higher SNR than users[{self.order[i + 1]}] "
+                    f"but a longer blocklength ({self.N[i]} > {self.N[i + 1]}); blocklengths "
+                    "must be nondecreasing once users are sorted by SNR"
+                )
 
     @classmethod
     def from_users(cls, users: list[UserSpec]) -> "ChannelConfig":

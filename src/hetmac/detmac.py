@@ -108,11 +108,14 @@ class ComponentFeasibility:
 def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, int, int]:
     """(first_user, load, capacity) of component l's tail with the least slack,
     ties going to the smallest user.  n must be nonnegative and nonincreasing
-    and m_col cover users l..K-1, so a table of other than len(n) rows fails."""
+    and m_col nonnegative and cover users l..K-1, so a table of other than
+    len(n) rows fails."""
     if list(n) != sorted(n, reverse=True) or n and n[-1] < 0:
         raise ValueError(f"bit levels must be nonnegative and nonincreasing, got {tuple(n)}")
     if len(m_col) != len(n) - l:
         raise ValueError(f"column {l + 1} must cover users {l + 1}..{len(n)}")
+    if min(m_col, default=0) < 0:
+        raise ValueError(f"column {l + 1} must hold nonnegative orders, got {tuple(m_col)}")
     load, best = 0, None
     for k in range(len(n) - 1, l - 1, -1):
         load += m_col[k - l]

@@ -5,6 +5,7 @@ import inspect
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -444,16 +445,26 @@ class TestArgumentChecks:
             ({"snr_db": None}, "users[1]: user needs snr_db, or power and gain"),
             ({"snr_db": None, "power": -1, "gain": 1}, "users[1]: SNR must be positive"),
             ({"power": 0, "gain": 1}, "users[1]: snr_db=36.0 conflicts with power*|gain|^2=0"),
+            # (first user's fields, second user's): a 12 dB user with N = 100 listed
+            # before a 24 dB user with N = 200; the rule names both
+            (
+                ({"snr_db": 12.0, "blocklength": 100}, {"snr_db": 24.0, "blocklength": 200}),
+                "users[1] has a higher SNR than users[0] but a longer blocklength (200 > 100)",
+            ),
         ],
     )
     def test_user_rule_errors_name_the_position_in_the_file(self, tmp_path, capsys, fields, where):
-        # the bad user is listed second; at 36 dB with the shorter block it sorts first
+        # unless the case says otherwise, the bad user is listed second; at 36 dB with
+        # the shorter block it sorts first
+        first, second = fields if isinstance(fields, tuple) else ({}, fields)
         payload = base_payload()
-        payload["users"][1].update({"snr_db": 36.0, "blocklength": 100, **fields})
+        payload["users"][0].update(first)
+        payload["users"][1].update({"snr_db": 36.0, "blocklength": 100, **second})
         assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {where}") and err.count("\n") == 1
-        assert "users[0]" not in err
+        # the error names the users the case names, and no other
+        assert re.findall(r"users\[\d+\]", err) == re.findall(r"users\[\d+\]", where)
 
     def test_unknown_command_is_left_to_the_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -530,6 +541,54 @@ class TestDetVerify:
             "075191cf963336c9555dd5009a252b8a6d22338b75faad2cb07e5b35aea7d3e6"
         )
 
+    def test_records_never_change_what_an_allocation_prints(self, tmp_path, monkeypatch, capsys):
+        # run alone, each allocation takes the full check; in the file's run two of
+        # the 42 are printed from the records of earlier allocations' columns
+        import hetmac.cli as cli_mod
+
+        scenario = DATA / "three_user_detverify.yaml"
+        payload = yaml.safe_load(scenario.read_text(encoding="utf-8"))
+        checked = []
+        true_verify = cli_mod.detmac.verify_region
+
+        def counting(n, alloc):
+            checked.append(alloc.m)
+            return true_verify(n, alloc)
+
+        monkeypatch.setattr(cli_mod.detmac, "verify_region", counting)
+        assert main(["det-verify", "--scenario", str(scenario)]) == EXIT_INFEASIBLE
+        whole = capsys.readouterr().out
+        assert len(payload["allocations"]) == 42 and len(checked) == 40
+        blocks, codes = [], []
+        for alloc in payload["allocations"]:
+            path = write_scenario(tmp_path, {**payload, "allocations": [alloc]})
+            codes.append(main(["det-verify", "--scenario", path]))
+            blocks.append(capsys.readouterr().out.removesuffix("all rank identities hold\n"))
+        assert {EXIT_OK, EXIT_INFEASIBLE} == set(codes)
+        assert "".join(blocks) == whole
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            (UPLINK, "0814fc56d014d4d5929d3ef420939f174ec852bff59851a40a9d9cc230a8bfa2"),
+            (
+                str(DATA / "three_user_detverify.yaml"),
+                "805155fd56e08bf972a26870d7e8b3860547a514c359a5bf21526cc03ea937fd",
+            ),
+        ],
+        ids=["uplink", "three_user"],
+    )
+    def test_failures_are_rechecked_never_recorded(self, monkeypatch, capsys, scenario, digest):
+        # the digests are of the stdout from before det-verify kept per-column records
+        # (14 and 152 VIOLATION lines): a table that fails leaves no record, so every
+        # later table that holds one of its columns is checked and reported again
+        import hetmac.cli as cli_mod
+
+        det = cli_mod.detmac
+        monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
+        assert main(["det-verify", "--scenario", scenario]) == EXIT_VIOLATION
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_one_region_check_per_allocation(self, monkeypatch, capsys):
         import hetmac.cli as cli_mod
 
@@ -542,7 +601,8 @@ class TestDetVerify:
 
         monkeypatch.setattr(cli_mod.detmac, "verify_region", counting)
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
-        assert len(calls) == 7
+        # D repeats C's table, whose columns passed with C: D is printed from their records
+        assert len(calls) == len(set(calls)) == 6
 
     def test_rank_violation_maps_to_exit_four(self, tmp_path, monkeypatch, capsys):
         import hetmac.cli as cli_mod
@@ -581,8 +641,9 @@ class TestDetVerify:
         monkeypatch.setattr(det, "component_layout", layout)
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
         # all 7 allocations are feasible: the identity per scheme, and a random
-        # witness per scheme for the 6 that bring a new component (D repeats C's table)
-        assert len(current) == 7 * 2 + 6 * 2
+        # witness per scheme, for the 6 that bring a new component; D repeats C's
+        # table and is printed from the records of C's columns
+        assert len(current) == 6 * 2 + 6 * 2
         # C and D share one table, and tables that share a column share its layout
         tables = {(n, m) for n, m, _ in current}
         assert len(tables) == 6

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -292,12 +293,22 @@ class TestInputChecks:
         "negative_level": ((4, -1), ((2,), (0, 0)), r"nonnegative .*, got \(4, -1\)"),
         "more_rows": ((8, 4), ((2,), (2, 2), (0, 0, 0)), "column 1 must cover users 1..2"),
         "fewer_rows": ((8, 4, 2), ((2,), (2, 2)), "column 1 must cover users 1..3"),
+        # a negative order would lay out the reversed window (10, 8) for user 2
+        "negative_order": (
+            (8, 4), ((4,), (-2, 0)), r"column 1 must hold nonnegative orders, got \(4, -2\)"
+        ),
     }
 
     @pytest.mark.parametrize("case", BAD)
     def test_table_entry_points_reject(self, case):
         n, m, message = self.BAD[case]
-        alloc = BitAllocation(m)
+        if case == "negative_order":
+            # BitAllocation rejects a negative order itself; a table that skipped its
+            # checks holds the same columns, which are all the entry points read
+            columns = tuple(tuple(row[l] for row in m[l:]) for l in range(len(m)))
+            alloc = SimpleNamespace(m=m, columns=columns)
+        else:
+            alloc = BitAllocation(m)
         with pytest.raises(ValueError, match=message):
             verify_region(n, alloc)
         with pytest.raises(ValueError, match=message):

@@ -68,3 +68,24 @@ def test_every_export_has_a_reader():
     ]
     assert unread == []
 
+
+def test_cli_reads_no_private_name_of_another_module():
+    # det-verify prints repeat allocations from records built on detmac's public
+    # API, so the command must not reach past it into a module's seams
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    modules, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("hetmac")):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            if node.module in (None, "hetmac"):  # from . import detmac
+                modules |= {alias.asname or alias.name for alias in node.names}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and node.attr.startswith("_")
+        ):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert "detmac" in modules
+    assert private == []
