@@ -111,6 +111,8 @@ def _choice(*options: str):
 _REQUIRED = object()  # the default of a key its section must give
 # a sample count is a range's length, which cannot pass sys.maxsize
 _SAMPLES = partial(_number, kind=int, least=MIN_SAMPLES, most=sys.maxsize)
+# a symbol count, bounded as a sample count is: n * mi and R * N then stay finite
+_BLOCKLENGTH = partial(_number, kind=int, most=sys.maxsize)
 # an allocation id, as text one CSV cell can hold
 _ID = _kind(
     lambda raw: type(raw) in (str, int) and str(raw) != "" and not set(str(raw)) & set(',"\r\n'),
@@ -126,7 +128,7 @@ _FIELDS = {
         "estimator": (_MAPPING, None), "flags": (_MAPPING, None), "allocations": (_LIST, None),
     },
     "users": {
-        "snr_db": (_number, None), "blocklength": (partial(_number, kind=int), _REQUIRED),
+        "snr_db": (_number, None), "blocklength": (_BLOCKLENGTH, _REQUIRED),
         "target_eps": (_number, _REQUIRED), "power": (_number, None), "gain": (_gain, None),
     },
     "estimator": {"samples": (_SAMPLES, 200_000), "seed": (partial(_number, kind=int), 0)},
@@ -230,13 +232,13 @@ def _claim_output(path: str) -> bool:
     return created
 
 
-def cmd_region(scenario: Scenario, out_path: str, workers: int = 1) -> int:
+def cmd_region(scenario: Scenario, out_path: str) -> int:
     cfg = scenario.channel()
     allocations = _scenario_allocations(scenario, cfg)
     created = _claim_output(out_path)
     try:
         results = rate_region_sweep(
-            cfg, allocations, scenario.samples, scenario.seed, scenario.scheme_types, workers
+            cfg, allocations, scenario.samples, scenario.seed, scenario.scheme_types
         )
     except BaseException:
         if created:
@@ -378,13 +380,11 @@ def _find_alloc(
     raise ConfigError(f"unknown allocation id {alloc_id!r}")
 
 
-def cmd_codeparams(
-    scenario: Scenario, alloc_id: str, scheme_type: int | None, workers: int = 1
-) -> int:
+def cmd_codeparams(scenario: Scenario, alloc_id: str, scheme_type: int | None) -> int:
     cfg = scenario.channel()
     alloc = _find_alloc(scenario, cfg, alloc_id, scheme_type)
     pinned = [(alloc_id, alloc, str(alloc.scheme_type))]
-    (result,) = rate_region_sweep(cfg, pinned, scenario.samples, scenario.seed, workers=workers)
+    (result,) = rate_region_sweep(cfg, pinned, scenario.samples, scenario.seed)
     params = select_code_params(cfg, alloc, result.rates)
     print(f"allocation {alloc_id} scheme {alloc.scheme_type}")
     for k, (entry, report) in enumerate(zip(params, result.reports)):
@@ -470,11 +470,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
         if args.command == "region":
-            return cmd_region(scenario, args.out, workers=args.workers)
+            return cmd_region(scenario, args.out)
         if args.command == "det-verify":
             return cmd_det_verify(scenario)
         if args.command == "codeparams":
-            return cmd_codeparams(scenario, args.alloc, args.scheme, args.workers)
+            return cmd_codeparams(scenario, args.alloc, args.scheme)
         # the subparsers are required, so argparse has rejected any other command
         return cmd_constellation(scenario, args.alloc, args.component, args.out, args.scheme)
     except (ConfigError, UnsupportedOrderError, EnumerationTooLargeError) as exc:

@@ -254,7 +254,6 @@ def rate_region_sweep(
     samples: int = 200_000,
     seed: int = 0,
     scheme_types: str = "both",
-    workers: int = 1,
 ) -> list[SweepResult]:
     """Evaluate labelled allocations; emit both layerings where they differ.
 
@@ -310,7 +309,7 @@ def rate_region_sweep(
     # sorted is stable: first-use order within each (k, l)
     try:
         memo = {
-            sub: estimate_stats(cfg, sig, k, l, samples, seed, workers)
+            sub: estimate_stats(cfg, sig, k, l, samples, seed)
             for sub, (sig, k, l) in sorted(plan.items(), key=lambda item: item[0][:2])
         }
     finally:

@@ -47,19 +47,18 @@ and the density would be -inf.
 
 Sampling is organized in fixed-size chunks (_CHUNK samples), each
 driven by its own counter-based Philox stream keyed on (task seed, chunk
-index), the task seed being _task_seed(seed, k, l), so results are
-bit-identical no matter how chunks are scheduled across workers.  The
-stream does not depend on the allocation, so _stream draws it once and
-keeps it for the next estimate of the same (k, l).  A chunk draws the
-sent point and the interferer point as flat indices into the 2-D
-Minkowski-ordered alphabets and reads their coordinates off the rails,
-so each received sample is bit for bit the 2-D sum.
+index), the task seed being _task_seed(seed, k, l); the chunks are
+evaluated in index order on the calling thread.  The stream does not
+depend on the allocation, so _stream draws it once and keeps it for the
+next estimate of the same (k, l).  A chunk draws the sent point and the
+interferer point as flat indices into the 2-D Minkowski-ordered
+alphabets and reads their coordinates off the rails, so each received
+sample is bit for bit the 2-D sum.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,19 +269,17 @@ def estimate_stats(
     l: int,
     samples: int = 200_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> DensityStats:
     """Monte Carlo moments of the density for user k in sub-block l.
 
     Chunk c draws from the Philox stream keyed (_task_seed(seed, k, l), c),
-    so the result is the one `hetmac region` reports at this seed, at any
-    worker count, and whatever was estimated before: the stream is the
-    one _stream keeps for consecutive calls with the same (k, l).
-    `workers` (at least 1) threads share the chunks, thread s taking
-    chunks s, s + workers, ...; thread 0 is the caller's own.  A
-    sub-block without bits has all-zero stats and samples 0.  The noise
-    has unit variance per complex sample, the SNR being carried entirely
-    by the scaled constellations and channel gains.
+    so the result is the one `hetmac region` reports at this seed,
+    whatever was estimated before: the stream is the one _stream keeps
+    for consecutive calls with the same (k, l).  The chunks run in index
+    order on the calling thread.  A sub-block without bits has all-zero
+    stats and samples 0.  The noise has unit variance per complex sample,
+    the SNR being carried entirely by the scaled constellations and
+    channel gains.
     """
     if not sig.parts[(k, l)]:
         return DensityStats.zeros()
@@ -291,23 +288,10 @@ def estimate_stats(
     tables = _receive_tables(cfg, sig, k, l)
     u, noise = _stream(_task_seed(seed, k, l), samples)
     dens = np.empty(samples)
-
-    chunks = range((samples + _CHUNK - 1) // _CHUNK)
-    stride = min(workers, len(chunks))
-
-    def stripe(s: int) -> None:
-        for c in chunks[s::stride]:
-            part = slice(c * _CHUNK, (c + 1) * _CHUNK)
-            y, x = _chunk_draw(u[:, part], noise[:, part], tables)
-            dens[part] = _density(y, x, tables[0], tables[1])
-
-    # the caller runs stripe 0 itself, so one worker starts no thread: a caller
-    # waiting on a one-thread pool made a one-worker region run ~9% slower (2-core VM)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rest = [pool.submit(stripe, s) for s in range(1, stride)]
-        stripe(0)
-        for f in rest:
-            f.result()
+    for s in range(0, samples, _CHUNK):
+        part = slice(s, s + _CHUNK)
+        y, x = _chunk_draw(u[:, part], noise[:, part], tables)
+        dens[part] = _density(y, x, tables[0], tables[1])
     mi = float(dens.mean())
     dens -= mi
     # a numpy reduction, not BLAS ddot: its bits and threads would follow the BLAS build

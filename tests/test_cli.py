@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -417,6 +418,35 @@ class TestArgumentChecks:
         assert err == f"config error: {where} must be at most {sys.maxsize}, got {10**30}\n"
 
     @pytest.mark.parametrize("command", ["region", "det-verify", "codeparams", "constellation"])
+    def test_blocklength_past_maxsize_rejected(self, tmp_path, capsys, command):
+        # past sys.maxsize, n * mi overflowed to an inf rate and R * N to an OverflowError
+        payload = base_payload()
+        payload["users"][1]["blocklength"] = 1.5e308
+        argv = [command, "--scenario", write_scenario(tmp_path, payload)]
+        argv += {
+            "region": ["--out", str(tmp_path / "r.csv")],
+            "codeparams": ["--alloc", "E"],
+            "constellation": ["--alloc", "E", "--component", "1", "--out", str(tmp_path / "p.csv")],
+            "det-verify": [],
+        }[command]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: users[1].blocklength must be at most {sys.maxsize}, got {int(1.5e308)}\n"
+        )
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_blocklength_at_maxsize_keeps_every_number_finite(self, tmp_path, capsys):
+        payload = base_payload()
+        payload["users"][1]["blocklength"] = sys.maxsize
+        path = write_scenario(tmp_path, payload)
+        out = tmp_path / "r.csv"
+        assert main(["region", "--scenario", path, "--out", str(out)]) == EXIT_OK
+        assert not re.search(r"\binf\b|nan", out.read_text())
+        assert main(["codeparams", "--scenario", path, "--alloc", "E"]) == EXIT_OK
+        assert "user 2: R=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["region", "det-verify", "codeparams", "constellation"])
     def test_order_past_float_range_is_infeasible(self, tmp_path, capsys, command):
         # an order is an exact int of any size, so the tail-sum check rejects it
         payload = base_payload()
@@ -513,6 +543,7 @@ class TestDetVerify:
             (UPLINK, "two_user_uplink_detverify.txt", EXIT_OK),
             (str(DATA / "three_user_detverify.yaml"), "three_user_detverify.txt", EXIT_INFEASIBLE),
         ],
+        ids=["uplink", "three_user"],
     )
     def test_golden_stdout_bytes(self, capsys, scenario, golden, code):
         # pins every printed rate, and the witness stream through the
@@ -728,6 +759,7 @@ class TestDetVerify:
             (UPLINK, "two_user_uplink_detverify.txt"),
             (str(DATA / "three_user_detverify.yaml"), "three_user_detverify.txt"),
         ],
+        ids=["uplink", "three_user"],
     )
     def test_witness_catches_a_packing_fault(self, monkeypatch, capsys, scenario, golden):
         import hetmac.cli as cli_mod
@@ -956,6 +988,25 @@ class TestRegion:
         argv = ["region", "--scenario", scenario, "--out", str(out), "--workers", workers]
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == GOLDEN_ENUM.read_bytes()
+
+    def test_a_run_starts_no_thread(self, tmp_path, monkeypatch):
+        # --workers is accepted and changes nothing: every estimate runs on the calling thread
+        starts = []
+        true_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda thread: (starts.append(thread), true_start(thread))
+        )
+        outs = []
+        for workers in ("2", "1"):
+            out = tmp_path / f"region_{workers}.csv"
+            argv = [
+                "region", "--scenario", UPLINK, "--out", str(out),
+                "--samples", "10000", "--workers", workers,
+            ]
+            assert main(argv) == EXIT_OK
+            outs.append(out.read_bytes())
+        assert starts == []
+        assert outs[0] == outs[1]
 
     def test_odd_scheme2_window_keeps_the_scheme1_row_under_both(self, tmp_path, capsys):
         # levels (9, 6): every allocation whose scheme-2 layering differs puts

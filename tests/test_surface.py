@@ -89,3 +89,16 @@ def test_cli_reads_no_private_name_of_another_module():
             private.append(f"{node.value.id}.{node.attr}")
     assert "detmac" in modules
     assert private == []
+
+
+def test_no_module_imports_a_thread_library():
+    # a run is one thread: every estimate evaluates its chunks on the calling thread
+    imported = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.append((path.name, node.module))
+    assert [(f, m) for f, m in imported if m.split(".")[0] in ("threading", "concurrent")] == []
+    assert ("infodensity.py", "numpy") in imported  # the walk reads the imports
