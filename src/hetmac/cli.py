@@ -200,12 +200,8 @@ def _scenario_allocations(scenario: Scenario, cfg: ChannelConfig):
     return [(f"alloc_{i:0{width}d}", a, None) for i, a in enumerate(allocs)]
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.6g}"
 
 
 def _pack_table(values: dict, users: int) -> str:

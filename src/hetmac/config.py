@@ -29,11 +29,15 @@ def bit_levels(snr: float) -> int:
         r = nearest
     level = max(0, math.ceil(r))
     if level > MAX_BIT_LEVEL:
-        raise ConfigError(
-            f"SNR of {10.0 * math.log10(snr):.6g} dB needs {level} bit levels, "
-            f"more than the {MAX_BIT_LEVEL} supported"
-        )
+        raise _past_the_level_cap(10.0 * math.log10(snr), level)
     return level
+
+
+def _past_the_level_cap(snr_db: float, level: int) -> ConfigError:
+    return ConfigError(
+        f"SNR of {snr_db:.6g} dB needs {level:.6g} bit levels, "
+        f"more than the {MAX_BIT_LEVEL} supported"
+    )
 
 
 def db_to_linear(db: float) -> float:
@@ -71,6 +75,9 @@ class UserSpec:
         if self.snr_db is None:
             raise ConfigError("user needs snr_db, or power and gain")
         snr = db_to_linear(self.snr_db)
+        if snr == math.inf and math.isfinite(self.snr_db):
+            # only a dB past MAX_BIT_LEVEL overflows: report it as bit_levels does
+            raise _past_the_level_cap(self.snr_db, math.ceil(self.snr_db / 10.0 * math.log2(10.0)))
         return snr, 1.0, snr
 
 

@@ -14,8 +14,7 @@ achieved_rates packs each user's full-rank block straight into those
 rows at its column offset, which is the shifted generator matrix
 without building it; the ranks of the words still prove that the
 windows are disjoint.  The identity witness's ranks of a component are
-computed once per distinct row layout, and its feasibility report once
-per distinct column.
+computed once per distinct row layout.
 """
 
 from __future__ import annotations
@@ -124,25 +123,18 @@ def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, 
     return best
 
 
-@functools.lru_cache(maxsize=1024)
-def _component_feasibility(
-    n: tuple[int, ...], l: int, m_col: tuple[int, ...]
-) -> ComponentFeasibility:
-    """Component l's binding tail, once per distinct (levels, component, column)."""
-    return ComponentFeasibility(l, *_binding_tail(n, m_col, l))
-
-
 def verify_region(n: tuple[int, ...], alloc: BitAllocation) -> tuple[ComponentFeasibility, ...]:
     """Every tail-sum constraint of every component, reduced to the binding one.
 
     Within component l, users k >= l must satisfy sum_{i>=k} m[i][l] <= n[k];
     the component capacity check alone (k = l) is not sufficient for the
     layered constructions below to exist.  Each component reports its
-    tail with the least slack, ties going to the smallest user.  A
-    component's report depends only on the levels and its column, so
-    tables that share a column share one frozen report.
+    tail with the least slack, ties going to the smallest user.
     """
-    return tuple([_component_feasibility(n, l, m_col) for l, m_col in enumerate(alloc.columns)])
+    return tuple([
+        ComponentFeasibility(l, *_binding_tail(n, m_col, l))
+        for l, m_col in enumerate(alloc.columns)
+    ])
 
 
 def allocation_feasible(n: tuple[int, ...], alloc: BitAllocation) -> bool:

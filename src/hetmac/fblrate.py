@@ -194,8 +194,7 @@ class BenchmarkRegion:
             return y <= hull[-1][1] + tol
         for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
             if x2 <= x <= x1:
-                if x1 == x2:
-                    return y <= max(y1, y2) + tol
+                # hull_vertices keys corners by x, so x2 < x1
                 bound = y1 + (y2 - y1) * (x - x1) / (x2 - x1)
                 return y <= bound + tol
         return y <= hull[0][1] + tol

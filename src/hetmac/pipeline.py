@@ -58,9 +58,6 @@ class BitAllocation:
     def users(self) -> int:
         return len(self.m)
 
-    def flat(self) -> tuple[int, ...]:
-        return tuple(v for row in self.m for v in row)
-
 
 def _component_tuples(
     n: Sequence[int], component: int, step: int

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from hetmac.cli import (
     _FIELDS,
+    _REQUIRED,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -92,6 +93,15 @@ BAD_IDS = {
     "quote": ([{"id": 'E"x', "m": [[4], [4, 4]]}], 'E"x', "allocations[0].id must be"),
     "line_break": ([{"id": "E\nx", "m": [[4], [4, 4]]}], "E\nx", "allocations[0].id must be"),
 }
+
+
+# (section, key) of every key a scenario must give, read off the loader's table
+REQUIRED_KEYS = [
+    (section, key)
+    for section, table in _FIELDS.items()
+    for key, (_, default) in table.items()
+    if default is _REQUIRED
+]
 
 
 def write_scenario(tmp_path, payload, name="scenario.yaml"):
@@ -224,6 +234,30 @@ class TestScenarioLoading:
         assert "Traceback" not in err
         if case in BAD_SECTIONS:
             assert BAD_SECTIONS[case][1] in err
+
+    @pytest.mark.parametrize(
+        "section, key", REQUIRED_KEYS, ids=[f"{section}.{key}" for section, key in REQUIRED_KEYS]
+    )
+    def test_missing_required_key_exits_two(self, tmp_path, capsys, section, key):
+        payload = base_payload()
+        if section == "scenario":
+            holder, where = payload, "scenario"
+        elif isinstance(payload.setdefault(section, {}), list):
+            holder, where = payload[section][0], f"{section}[0]"
+        else:
+            holder, where = payload[section], section
+        holder.pop(key, None)
+        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {where} needs {key}\n"
+
+    @pytest.mark.parametrize("gain", [[1, 2, 3], {"re": 1}], ids=["triple", "mapping"])
+    def test_gain_of_another_shape_exits_two(self, tmp_path, capsys, gain):
+        payload = base_payload()
+        payload["users"][0].update({"snr_db": None, "power": 16.0, "gain": gain})
+        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "config error: users[0].gain must be a number or a [re, im] pair\n"
+        )
 
     @pytest.mark.parametrize("case", BAD_IDS)
     @pytest.mark.parametrize("command", ["region", "det-verify", "codeparams"])
@@ -1205,6 +1239,27 @@ def test_snr_above_the_largest_bit_level_is_rejected(tmp_path, capsys, m):
         assert main([*argv, "--scenario", path]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "config error: users[0]: SNR of 3080 dB needs 1024 bit levels, "
+            "more than the 1023 supported\n"
+        )
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db, level", [(3083.0, 1025), (4000.0, 1329)])
+def test_snr_past_float_range_names_the_db_in_the_file(tmp_path, capsys, snr_db, level):
+    # from about 3082.6 dB the linear SNR overflows a float; the message still gives the dB
+    payload = base_payload()
+    payload["users"] = [{"snr_db": snr_db, "blocklength": 128, "target_eps": 1e-6}]
+    payload["allocations"] = [{"id": "X", "m": [[2]]}]
+    path = write_scenario(tmp_path, payload)
+    for argv in (
+        ["region", "--out", str(tmp_path / "r.csv")],
+        ["det-verify"],
+        ["codeparams", "--alloc", "X"],
+        ["constellation", "--alloc", "X", "--component", "1", "--out", str(tmp_path / "p.csv")],
+    ):
+        assert main([*argv, "--scenario", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"config error: users[0]: SNR of {snr_db:g} dB needs {level} bit levels, "
             "more than the 1023 supported\n"
         )
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "p.csv").exists()

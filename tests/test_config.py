@@ -22,6 +22,13 @@ class TestBitLevels:
         with pytest.raises(ConfigError):
             bit_levels(0.0)
 
+    def test_snr_db_past_float_range_names_the_db(self):
+        # 10 ** (dB / 10) overflows from about 3082.6 dB
+        with pytest.raises(ConfigError, match="SNR of 3083 dB needs 1025 bit levels"):
+            ChannelConfig.from_users([UserSpec(3083.0, 128, 1e-6)])
+        with pytest.raises(ConfigError, match="SNR must be positive and finite, got inf"):
+            ChannelConfig.from_users([UserSpec(math.inf, 128, 1e-6)])
+
 
 class TestChannelConfig:
     def test_sorting_and_order_mapping(self):

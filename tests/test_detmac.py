@@ -254,14 +254,13 @@ class TestRegion:
 
     @given(_levels_and_table())
     @settings(max_examples=100, deadline=None)
-    def test_cached_reports_match_a_fresh_binding_tail(self, case):
+    def test_reports_match_a_fresh_binding_tail(self, case):
         n, m = case
         fresh = tuple(
             ComponentFeasibility(l, *_binding_tail(n, [m[k][l] for k in range(l, len(n))], l))
             for l in range(len(n))
         )
         assert verify_region(n, BitAllocation(m)) == fresh
-        assert verify_region(n, BitAllocation(m)) == fresh  # a cache hit
 
     def test_a_shared_column_keeps_each_levels_capacity(self):
         # column (2, 2) of component 1 binds at user 2's level under both level tuples
@@ -324,6 +323,25 @@ class TestInputChecks:
         m_col = [row[0] for row in m]
         with pytest.raises(ValueError, match=message):
             component_layout(n, m_col, 0, scheme_type)
+
+    @pytest.mark.parametrize(
+        "rows, cols, bits, message",
+        [
+            (-1, 2, (), "negative dimensions"),
+            (2, -1, (0, 0), "negative dimensions"),
+            (2, 2, (1,), "one word per row"),
+            (2, 2, (1, 4), "bits beyond the column count"),
+            (1, 2, (-1,), "bits beyond the column count"),
+        ],
+        ids=["negative_rows", "negative_cols", "word_count", "wide_word", "negative_word"],
+    )
+    def test_f2_matrix_rejects(self, rows, cols, bits, message):
+        with pytest.raises(ValueError, match=message):
+            F2Matrix(rows, cols, bits)
+
+    def test_component_layout_rejects_an_unknown_scheme(self):
+        with pytest.raises(ValueError, match="scheme_type must be 1 or 2"):
+            component_layout((8, 4), (4, 4), 0, 3)
 
     def test_checks_run_before_the_tail_sum_rule(self):
         # a negative level is an input error, not an infeasible column

@@ -267,6 +267,26 @@ class TestBenchmarkRegion:
         for corner in region.corner_points:
             assert region.contains(corner, tol=1e-9)
 
+    def test_a_corner_under_the_chord_leaves_the_hull(self):
+        region = BenchmarkRegion(((4.0, 1.0), (3.0, 1.5), (2.0, 3.0)))
+        assert region.hull_vertices == ((4.0, 1.0), (2.0, 3.0))
+        # the chord, not the dropped corner, bounds the region at x = 3
+        assert region.contains((3.0, 2.0))
+        assert not region.contains((3.0, 2.0 + 1e-6))
+
+    def test_no_corners_hold_only_the_origin(self):
+        region = BenchmarkRegion(())
+        assert region.hull_vertices == ()
+        assert region.contains((0.0, 0.0))
+        assert not region.contains((1e-6, 0.0))
+        assert not region.contains((0.0, 1e-6))
+
+    def test_tol_extends_the_first_vertex_to_the_right(self):
+        region = BenchmarkRegion(((4.0, 1.0), (2.0, 3.0)))
+        assert region.contains((4.0 + 1e-13, 1.0))
+        assert not region.contains((4.0 + 1e-13, 1.0 + 1e-6))
+        assert not region.contains((4.0 + 1e-11, 1.0))
+
 
 class TestGaussianTin:
     def test_weak_user_interfered_rate_below_one_bit(self):

@@ -62,7 +62,7 @@ class TestEnumerate:
 
     def test_lexicographic_order(self):
         allocs = enumerate_allocations(two_user(), even_only=True)
-        flats = [a.flat() for a in allocs]
+        flats = [_flat(a.m) for a in allocs]
         assert flats == sorted(flats)
 
     def test_cap(self, monkeypatch):
@@ -117,7 +117,7 @@ class TestOrder:
     def test_allocation_holds_plain_ints(self):
         alloc = BitAllocation(m=((np.int64(4),), (2.0, Fraction(4, 1))))
         assert alloc.m == ((4,), (2, 4))
-        assert all(type(v) is int for v in alloc.flat())
+        assert all(type(v) is int for v in _flat(alloc.m))
 
 
 class TestCodeParams:
@@ -151,6 +151,12 @@ class TestCodeParams:
         params = select_code_params(cfg, alloc, [0.001, 1.0])
         assert params[0].degenerate
         assert not params[1].degenerate
+
+    @pytest.mark.parametrize("rates", [[1.0], [1.0, 1.0, 1.0]])
+    def test_one_rate_per_user(self, rates):
+        alloc = BitAllocation(m=((2,), (2, 2)))
+        with pytest.raises(ValueError, match="need one rate per user"):
+            select_code_params(two_user(), alloc, rates)
 
 
 class TestBitAllocation:

@@ -208,6 +208,13 @@ class TestSuperimpose:
             np.sort_complex(sup.points), np.sort_complex(own.points * cfg.h[1])
         )
 
+    @pytest.mark.parametrize("component", [-1, 2])
+    def test_component_out_of_range(self, component):
+        cfg = two_user_cfg()
+        sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
+        with pytest.raises(ValueError, match="component out of range"):
+            superimpose(sig, cfg, component)
+
     def test_cardinality_is_product_when_no_collisions(self):
         cfg = two_user_cfg()
         sig = build_scheme(cfg, BitAllocation(m=((6,), (2, 4))))
@@ -330,6 +337,10 @@ class TestLemma2:
     def test_budget(self):
         with pytest.raises(ConstellationTooLargeError):
             verify_lemma2([8, 8, 4], 1.0)
+
+    def test_no_layers_rejected(self):
+        with pytest.raises(ValueError, match="need at least one order"):
+            verify_lemma2([], 1.0)
 
 
 def test_csv_export(tmp_path):
