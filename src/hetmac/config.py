@@ -40,6 +40,15 @@ def _past_the_level_cap(snr_db: float, level: int) -> ConfigError:
     )
 
 
+def _past_float_range(snr_db: float) -> ConfigError:
+    """The error for a finite SNR in dB whose linear value leaves float range:
+    only a dB past MAX_BIT_LEVEL overflows, so that one is reported as
+    bit_levels does."""
+    if snr_db > 0:
+        return _past_the_level_cap(snr_db, math.ceil(snr_db / 10.0 * math.log2(10.0)))
+    return ConfigError(f"SNR of {snr_db:.6g} dB underflows a float")
+
+
 def db_to_linear(db: float) -> float:
     try:
         return 10.0 ** (db / 10.0)
@@ -63,6 +72,8 @@ class UserSpec:
             p = float(self.power)
             h = abs(complex(self.gain))
             snr = p * h * h
+            if snr in (0.0, math.inf) and 0 < p < math.inf and 0 < h < math.inf:
+                raise _past_float_range(10.0 * math.log10(p) + 20.0 * math.log10(h))
             if self.snr_db is not None:
                 given = db_to_linear(self.snr_db)
                 if not math.isclose(given, snr, rel_tol=1e-9):
@@ -75,9 +86,8 @@ class UserSpec:
         if self.snr_db is None:
             raise ConfigError("user needs snr_db, or power and gain")
         snr = db_to_linear(self.snr_db)
-        if snr == math.inf and math.isfinite(self.snr_db):
-            # only a dB past MAX_BIT_LEVEL overflows: report it as bit_levels does
-            raise _past_the_level_cap(self.snr_db, math.ceil(self.snr_db / 10.0 * math.log2(10.0)))
+        if snr in (0.0, math.inf) and math.isfinite(self.snr_db):
+            raise _past_float_range(self.snr_db)
         return snr, 1.0, snr
 
 

@@ -13,8 +13,8 @@ computed once per distinct component column and scheme.
 achieved_rates packs each user's full-rank block straight into those
 rows at its column offset, which is the shifted generator matrix
 without building it; the ranks of the words still prove that the
-windows are disjoint.  The identity witness's ranks of a component are
-computed once per distinct row layout.
+windows are disjoint.  _component_ranks turns every component's rows
+into rates, for the identity witness and random witnesses alike.
 """
 
 from __future__ import annotations
@@ -198,25 +198,6 @@ def component_layout(
     return out
 
 
-def _tin_ranks(words: Sequence[int], masks: Sequence[int]) -> tuple[int, ...]:
-    """rank(all) - rank(all but k) for every user k of one component.
-
-    words are the component's packed rows: the rows of [S^(n_l - n_u) G_u]_u
-    concatenated by columns in user order, user u's columns under
-    masks[u].  "All but k" is every word with k's columns cleared, and
-    rank(all) is computed once.  A user's rate equals its bit count only
-    when its rows are independent of everyone else's, so the ranks prove
-    that the users' windows are disjoint; they never copy the allocation.
-    """
-    rank_all = _rank_words(words)
-    rates = []
-    for mask in masks:
-        keep = ~mask
-        # a user without columns leaves every word as it is: rate 0
-        rates.append(rank_all - _rank_words([w & keep for w in words]) if mask else 0)
-    return tuple(rates)
-
-
 def _component_ranks(
     nl: int, rows: tuple[tuple[int, ...], ...], blocks: Sequence[F2Matrix | None] = ()
 ) -> tuple[int, ...]:
@@ -243,12 +224,14 @@ def _component_ranks(
                 words[r] |= b << offset
         masks.append(((1 << mk) - 1) << offset)
         offset += mk
-    return _tin_ranks(words, masks)
-
-
-# The identity witness's ranks depend only on the level and the word rows, so
-# they are keyed on those rows and never on the column they were laid out from.
-_identity_ranks = functools.lru_cache(maxsize=1024)(_component_ranks)
+    # rate of k = rank(all) - rank(all but k's columns): a user's rate equals its
+    # bit count only when its rows are independent of everyone else's, so the
+    # ranks prove that the windows are disjoint and never copy the allocation
+    rank_all = _rank_words(words)
+    # a user without columns leaves every word as it is: rate 0
+    return tuple([
+        rank_all - _rank_words([w & ~mask for w in words]) if mask else 0 for mask in masks
+    ])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -293,16 +276,11 @@ def achieved_rates(
     Block row j of user k (f_blocks[(k, l)], the identity 1 << j when
     absent) is packed at word row depth - 1 of k's j-th depth from
     _depth_rows, shifted to k's column offset; the ranks of those words
-    are the rates.  A component that holds no block is on the identity
-    path, whose ranks are computed once per distinct (level, rows).
+    are the rates (_component_ranks).
     """
     rates = {}
     for l, rows in enumerate(_depth_rows(n, alloc, scheme_type)):
         blocks = [f_blocks.get((k, l)) for k in range(l, len(n))] if f_blocks else ()
-        if any(blocks):  # an F2Matrix is always true, a missing block None
-            ranks = _component_ranks(n[l], rows, blocks)
-        else:
-            ranks = _identity_ranks(n[l], rows)
-        for k, r in enumerate(ranks, l):
+        for k, r in enumerate(_component_ranks(n[l], rows, blocks), l):
             rates[(k, l)] = r
     return rates

@@ -210,14 +210,12 @@ def _stream(task: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
     uint32: all _chunk_draw reads of v, in half the bytes of a float.
     The stream of the last call is kept, read-only, in a one-slot cache
     that is emptied before another is drawn, so no two streams are held
-    at once.  Concurrent callers may draw the same stream twice, but each
-    returns the stream of its own key.
+    at once.
     """
     global _slot
-    slot = _slot
-    if slot is not None and slot[0] == (task, samples):
-        return slot[1], slot[2]
-    _slot = slot = None  # drop both references to the old stream before drawing
+    if _slot is not None and _slot[0] == (task, samples):
+        return _slot[1], _slot[2]
+    _slot = None  # drop the old stream before drawing
     u = np.empty((2, samples), dtype=np.uint32)
     noise = np.empty((2, samples))
     for s in range(0, samples, _CHUNK):

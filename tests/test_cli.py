@@ -728,7 +728,7 @@ class TestDetVerify:
         assert rates[(0, 0)] < 4 and rates[(1, 0)] < 4 and rates[(1, 1)] == 4
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
         assert "VIOLATION" in capsys.readouterr().out
-        # the mutant's identity ranks were cached under its own rows, never the true ones
+        # the mutant edited copies of the rows: _component_rows' cache still holds the true ones
         monkeypatch.undo()
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
         assert capsys.readouterr().out.encode() == (DATA / "two_user_uplink_detverify.txt").read_bytes()
@@ -800,7 +800,7 @@ class TestDetVerify:
 
         det = cli_mod.detmac
         # mutant: the block branch packs witness rows one column past their offset; the
-        # identity path keeps its own cache of the true function
+        # mutated line sits only in that branch, so the identity rates stay true
         source = textwrap.dedent(inspect.getsource(det._component_ranks))
         assert source.count("b << offset") == 1
         namespace = dict(vars(det))
@@ -1263,6 +1263,27 @@ def test_snr_past_float_range_names_the_db_in_the_file(tmp_path, capsys, snr_db,
             "more than the 1023 supported\n"
         )
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "p.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "user, message",
+    [
+        ({"power": 1e200, "gain": 1e100},
+         "SNR of 4000 dB needs 1329 bit levels, more than the 1023 supported"),
+        ({"snr_db": -4000.0}, "SNR of -4000 dB underflows a float"),
+        ({"power": 1e-200, "gain": 1e-100}, "SNR of -4000 dB underflows a float"),
+        ({"power": 0.0, "gain": 1.0}, "SNR must be positive and finite, got 0"),
+    ],
+    ids=["overflow", "snr_db_underflow", "power_gain_underflow", "zero_power"],
+)
+def test_snr_outside_float_range_is_a_config_error(tmp_path, capsys, user, message):
+    # finite numbers in the file whose linear SNR overflows or underflows a float
+    payload = base_payload()
+    payload["users"] = [{**user, "blocklength": 128, "target_eps": 1e-6}]
+    payload["allocations"] = [{"id": "X", "m": [[0]]}]
+    path = write_scenario(tmp_path, payload)
+    assert main(["codeparams", "--alloc", "X", "--scenario", path]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: users[0]: {message}\n"
 
 
 def test_largest_bit_level_still_runs(tmp_path):

@@ -29,6 +29,11 @@ class TestBitLevels:
         with pytest.raises(ConfigError, match="SNR must be positive and finite, got inf"):
             ChannelConfig.from_users([UserSpec(math.inf, 128, 1e-6)])
 
+    def test_snr_db_just_inside_float_range_loads(self):
+        # 10 ** -300 is still a float, so this is a user with no bit levels; from about
+        # -3236 dB the linear SNR underflows to 0 (tests/test_cli.py)
+        assert ChannelConfig.from_users([UserSpec(-3000.0, 128, 1e-6)]).n == (0,)
+
 
 class TestChannelConfig:
     def test_sorting_and_order_mapping(self):

@@ -180,25 +180,34 @@ class TestMutualInfo:
                     for k in range(l, users):
                         assert rates[(k, l)] == det_mutual_info_concat(n, gens, k, l)
 
-    @given(_feasible_levels_and_table(users=st.integers(2, 4), top=12))
+    @given(_feasible_levels_and_table(users=st.integers(2, 4), top=12), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
-    def test_cached_identity_ranks_match_the_packing_path(self, case):
+    def test_identity_blocks_match_the_blockless_rates(self, case, seed):
         n, m = case
         alloc = BitAllocation(m)
         users = alloc.users
-        # explicit identity blocks for every pair put each component on the packing path
+        # an explicit identity block takes the block branch of the packing, a missing one
+        # the identity branch
         ident = {
             (k, l): F2Matrix(m[k][l], m[k][l], tuple(1 << j for j in range(m[k][l])))
             for l in range(users)
             for k in range(l, users)
         }
+        # a random subset with (0, 0) but not (1, 0), so component 0 mixes both branches,
+        # and no block of the last component, which stays blockless
+        rng = random.Random(seed)
+        some = {
+            (k, l): f for (k, l), f in ident.items()
+            if (k, l) == (0, 0) or (k, l) != (1, 0) and l < users - 1 and rng.random() < 0.5
+        }
         for scheme_type in (1, 2):
-            cached = achieved_rates(n, alloc, scheme_type)
-            assert achieved_rates(n, alloc, scheme_type, ident) == cached
+            blockless = achieved_rates(n, alloc, scheme_type)
+            assert achieved_rates(n, alloc, scheme_type, ident) == blockless
+            assert achieved_rates(n, alloc, scheme_type, some) == blockless
             for l in range(users):
                 gens = generator_rows(n, m, l, scheme_type)
                 for k in range(l, users):
-                    assert cached[(k, l)] == det_mutual_info_concat(n, gens, k, l)
+                    assert blockless[(k, l)] == det_mutual_info_concat(n, gens, k, l)
 
     def test_witness_stream_is_pinned(self):
         # det-verify's witnesses depend on these getrandbits calls and on
