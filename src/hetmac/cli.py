@@ -31,6 +31,7 @@ from .errors import (
     ConstellationTooLargeError,
     EnumerationTooLargeError,
     InfeasibleAllocationError,
+    SamplesTooLargeError,
     UnsupportedOrderError,
 )
 from .fblrate import gaussian_sic_region, gaussian_tin_rates, rate_region_sweep
@@ -479,7 +480,7 @@ def main(argv: list[str] | None = None) -> int:
     except InfeasibleAllocationError as exc:
         print(f"infeasible allocation: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except ConstellationTooLargeError as exc:
+    except (ConstellationTooLargeError, SamplesTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 

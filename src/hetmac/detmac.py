@@ -8,13 +8,12 @@ here is small dense GF(2) linear algebra with bit-packed rows.
 Every entry point takes the bit levels n and a pipeline.BitAllocation
 and passes through _binding_tail, the one home of the tail-sum rule and
 of its input checks; component_layout places a column's bits, and
-_depth_rows reads the word row (depth - 1) of every bit off its layout,
-computed once per distinct component column and scheme.
-achieved_rates packs each user's full-rank block straight into those
-rows at its column offset, which is the shifted generator matrix
-without building it; the ranks of the words still prove that the
-windows are disjoint.  _component_ranks turns every component's rows
-into rates, for the identity witness and random witnesses alike.
+_component_rows reads the word row (depth - 1) of every bit off it,
+once per distinct component column and scheme.  achieved_rates packs
+each user's full-rank block into those rows at its column offset, the
+shifted generator matrix without building it, and _component_ranks
+turns the words into rates, for the identity witness and random
+witnesses alike; the ranks still prove that the windows are disjoint.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def _component_ranks(
 ) -> tuple[int, ...]:
     """TIN rates of users l..K-1 in one component, in user order.
 
-    rows[i] holds the word rows of the i-th user's bits (_depth_rows).
+    rows[i] holds the word rows of the i-th user's bits (_component_rows).
     Block row j of that user (blocks[i], the identity 1 << j when absent
     or None) is packed at word row rows[i][j], shifted to the user's
     column offset.
@@ -238,30 +237,18 @@ def _component_ranks(
 def _component_rows(
     n: tuple[int, ...], component: int, m_col: tuple[int, ...], scheme_type: int
 ) -> tuple[tuple[int, ...], ...]:
-    """Word rows of users component..K-1 in one component, off its layout.
-
-    A component's layout depends only on the levels, its column and the
-    scheme, so tables that share a column share its rows.
+    """Word rows [k - component][j] = depth - 1 of user k's j-th depth, for
+    users component..K-1, read off the component's layout: a generator in
+    k's own frame would hold block row j at depth - 1 - (n_l - n_k), and
+    the channel's down shift by n_l - n_k moves it back.  The layout
+    depends only on the levels, the column and the scheme, so tables that
+    share a column share its rows while the cache holds them.
     """
     layout = component_layout(n, m_col, component, scheme_type)
     return tuple(
         tuple(d for start, end in layout[k] for d in range(start, end))
         for k in range(component, len(n))
     )
-
-
-def _depth_rows(
-    n: tuple[int, ...], alloc: BitAllocation, scheme_type: int
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Word row of every bit: [l][k - l][j] = depth - 1 of user k's j-th depth in component l.
-
-    A generator in user k's own frame would hold block row j at row
-    depth - 1 - (n_l - n_k), and the channel's down shift by n_l - n_k
-    moves it back to depth - 1, so the received rows are read off the
-    layout directly, once per distinct (levels, component, column,
-    scheme) while _component_rows' cache holds it.
-    """
-    return tuple([_component_rows(n, l, col, scheme_type) for l, col in enumerate(alloc.columns)])
 
 
 def achieved_rates(
@@ -273,13 +260,13 @@ def achieved_rates(
     """TIN rate of every (user, component) pair under scheme_type, given
     apart from alloc.scheme_type because det-verify checks both layerings.
 
-    Block row j of user k (f_blocks[(k, l)], the identity 1 << j when
-    absent) is packed at word row depth - 1 of k's j-th depth from
-    _depth_rows, shifted to k's column offset; the ranks of those words
-    are the rates (_component_ranks).
+    Component l's rates are the ranks of its rows (_component_rows) with
+    user k's block f_blocks[(k, l)] packed in, the identity when absent
+    (_component_ranks).
     """
     rates = {}
-    for l, rows in enumerate(_depth_rows(n, alloc, scheme_type)):
+    for l, column in enumerate(alloc.columns):
+        rows = _component_rows(n, l, column, scheme_type)
         blocks = [f_blocks.get((k, l)) for k in range(l, len(n))] if f_blocks else ()
         for k, r in enumerate(_component_ranks(n[l], rows, blocks), l):
             rates[(k, l)] = r

@@ -21,5 +21,9 @@ class ConstellationTooLargeError(RuntimeError):
     """A superimposed point set would exceed the configured size cap."""
 
 
+class SamplesTooLargeError(RuntimeError):
+    """The Monte Carlo arrays of a sample count cannot be allocated."""
+
+
 class EnumerationTooLargeError(RuntimeError):
     """Allocation enumeration would exceed the configured cap."""

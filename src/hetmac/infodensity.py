@@ -28,14 +28,14 @@ i_1 being the same density on R and V.  A sample costs 2 |R| |V| kernel
 cells instead of |A_k| |W| = |R|^2 |V|^2.
 
 The rail kernel (_density_1d) is grid-major: its one temporary holds
-the |R| |V| rail grid points against a chunk's samples, samples on the
+the |R| |V| rail grid points against a batch's samples, samples on the
 contiguous axis, and every step is elementwise, an exact min or an
 in-place halving fold (_fold), so a sample's density does not depend on
-the batch it is evaluated in.  At the size cap the temporary is 32 MiB
-and nothing else is of its size.  Shifted exponents below _EXP_FLOOR =
--700 are raised to it before exp.  exp(-700) ~ 2^-1010 is still a
-normal number, so numpy's exp never takes its slow path for results
-that underflow to subnormals or 0 (about 9% of the lanes of the
+the batch it is evaluated in.  It holds at most _PASS_VALUES values,
+32 MiB, and nothing else is of its size.  Shifted exponents below
+_EXP_FLOOR = -700 are raised to it before exp.  exp(-700) ~ 2^-1010 is
+still a normal number, so numpy's exp never takes its slow path for
+results that underflow to subnormals or 0 (about 9% of the lanes of the
 benchmark regions).  A floored lane adds under 2^-1009 to a row sum.
 The denominator's largest term is 1, and the sent row's sum holds at
 least the drawn point's own term exp(-z^2), z a real noise sample, so
@@ -47,13 +47,14 @@ and the density would be -inf.
 
 Sampling is organized in fixed-size chunks (_CHUNK samples), each
 driven by its own counter-based Philox stream keyed on (task seed, chunk
-index), the task seed being _task_seed(seed, k, l); the chunks are
-evaluated in index order on the calling thread.  The stream does not
-depend on the allocation, so _stream draws it once and keeps it for the
-next estimate of the same (k, l).  A chunk draws the sent point and the
-interferer point as flat indices into the 2-D Minkowski-ordered
-alphabets and reads their coordinates off the rails, so each received
-sample is bit for bit the 2-D sum.
+index), the task seed being _task_seed(seed, k, l); estimate_stats
+runs the samples in index order on the calling thread, in batches of at
+most _CHUNK whose two rails fill at most one _PASS_VALUES kernel call.
+The stream does not depend on the allocation, so _stream draws it once
+and keeps it for the next estimate of the same (k, l).  A chunk draws
+the sent point and the interferer point as flat indices into the 2-D
+Minkowski-ordered alphabets and reads their coordinates off the rails,
+so each received sample is bit for bit the 2-D sum.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ChannelConfig
+from .errors import SamplesTooLargeError
 from .signaling import SchemeSignaling, iq_indices, received_rail
 
 LOG2_E = math.log2(math.e)
@@ -75,7 +77,7 @@ _CHUNK = 4096
 #: clear of the subnormal results below log(2^-1022) ~ -708.4 that put
 #: numpy's exp on its slow path (module docstring).
 _EXP_FLOOR = -700.0
-#: Most values a kernel pass holds: at the size cap, one _CHUNK-sample rail.
+#: Most values one _density_1d call holds: at the size cap, both rails of 2048 samples.
 _PASS_VALUES = 2**22
 #: Fewest Monte Carlo samples estimate_stats accepts.
 MIN_SAMPLES = 10_000
@@ -157,9 +159,9 @@ def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
     adds, so a sample's bits do not depend on the batch it is in.
 
     received_rail's size cap keeps |R|^2 |V|^2 within 2^20, so |R| |V| <=
-    2^10, and _density passes at most _PASS_VALUES // (|R| |V|) samples:
-    ex holds at most 2^22 values (32 MiB), and every other array is the
-    size of one of its rows or columns.
+    2^10, and estimate_stats passes at most _PASS_VALUES // (|R| |V|)
+    samples: ex holds at most 2^22 values (32 MiB), and every other array
+    is the size of one of its rows or columns.
     """
     n = y.size
     grid = (own[:, None] + w[None, :]).ravel()  # received rail points, multiplicity kept
@@ -182,18 +184,23 @@ def _density_1d(y: np.ndarray, x_idx: np.ndarray, own: np.ndarray, w: np.ndarray
 def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Density in bits, i_re + i_im, of rails y[(re, im), j] with sent rail indices x.
 
-    Both rails go through _density_1d as one run of 2n samples, cut into
-    passes of _PASS_VALUES // (|R| |V|) samples so that no temporary
-    exceeds _PASS_VALUES values; batch independence keeps the bits of
-    two separate rail passes.
+    Both rails go through one _density_1d call as a run of 2n samples, so
+    the call holds 2n |R| |V| values; batch independence keeps the bits
+    of two separate rail calls.
     """
     n = y.shape[1]
-    ys, xs = y.reshape(-1), x.reshape(-1)
-    step = _PASS_VALUES // (own.size * w.size)
-    d = np.concatenate([
-        _density_1d(ys[s:s + step], xs[s:s + step], own, w) for s in range(0, ys.size, step)
-    ])
+    d = _density_1d(y.reshape(-1), x.reshape(-1), own, w)
     return d[:n] + d[n:]
+
+
+def _per_sample(shape: tuple[int, ...], dtype=float) -> np.ndarray:
+    """np.empty for shape[-1] samples (an estimate holds 40 bytes a sample: u 8,
+    noise 16, dens 8, sq 8); numpy's failure to allocate is SamplesTooLargeError."""
+    try:
+        return np.empty(shape, dtype)
+    except (ValueError, MemoryError) as exc:  # past numpy's size range, or out of memory
+        msg = f"cannot allocate the arrays of {shape[-1]} samples (about 40 bytes each): {exc}"
+        raise SamplesTooLargeError(msg) from None
 
 
 #: _stream's one-slot cache: ((task seed, samples), u, noise), or None.
@@ -216,8 +223,7 @@ def _stream(task: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
     if _slot is not None and _slot[0] == (task, samples):
         return _slot[1], _slot[2]
     _slot = None  # drop the old stream before drawing
-    u = np.empty((2, samples), dtype=np.uint32)
-    noise = np.empty((2, samples))
+    u, noise = _per_sample((2, samples), np.uint32), _per_sample((2, samples))
     for s in range(0, samples, _CHUNK):
         n = min(_CHUNK, samples - s)
         key = np.array([task, s // _CHUNK], dtype=np.uint64)
@@ -273,27 +279,28 @@ def estimate_stats(
     Chunk c draws from the Philox stream keyed (_task_seed(seed, k, l), c),
     so the result is the one `hetmac region` reports at this seed,
     whatever was estimated before: the stream is the one _stream keeps
-    for consecutive calls with the same (k, l).  The chunks run in index
-    order on the calling thread.  A sub-block without bits has all-zero
-    stats and samples 0.  The noise has unit variance per complex sample,
-    the SNR being carried entirely by the scaled constellations and
-    channel gains.
+    for consecutive calls with the same (k, l).  The kernel batches are
+    sized here alone (module docstring).  A sub-block without bits has
+    all-zero stats and samples 0.  The noise has unit variance per
+    complex sample, the SNR being carried by the constellations and gains.
     """
     if not sig.parts[(k, l)]:
         return DensityStats.zeros()
     if samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} samples for stable moments")
     tables = _receive_tables(cfg, sig, k, l)
+    own, w = tables[:2]
     u, noise = _stream(_task_seed(seed, k, l), samples)
-    dens = np.empty(samples)
-    for s in range(0, samples, _CHUNK):
-        part = slice(s, s + _CHUNK)
+    dens = _per_sample((samples,))
+    batch = min(_CHUNK, _PASS_VALUES // (2 * own.size * w.size))  # both rails, one call
+    for s in range(0, samples, batch):
+        part = slice(s, s + batch)
         y, x = _chunk_draw(u[:, part], noise[:, part], tables)
-        dens[part] = _density(y, x, tables[0], tables[1])
+        dens[part] = _density(y, x, own, w)
     mi = float(dens.mean())
     dens -= mi
     # a numpy reduction, not BLAS ddot: its bits and threads would follow the BLAS build
-    sq = np.square(dens)
+    sq = np.square(dens, out=_per_sample((samples,)))
     dispersion = float(sq.sum() / (samples - 1))
     np.abs(dens, out=dens)
     sq *= dens  # (a * a) * a with a = |centered|: a * a is the square, bit for bit

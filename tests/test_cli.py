@@ -650,7 +650,7 @@ class TestDetVerify:
         import hetmac.cli as cli_mod
 
         det = cli_mod.detmac
-        monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
+        monkeypatch.setattr(det, "_component_rows", _shared_depth(det._component_rows))
         assert main(["det-verify", "--scenario", scenario]) == EXIT_VIOLATION
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -723,7 +723,7 @@ class TestDetVerify:
         import hetmac.cli as cli_mod
 
         det = cli_mod.detmac
-        monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
+        monkeypatch.setattr(det, "_component_rows", _shared_depth(det._component_rows))
         rates = det.achieved_rates((8, 4), BitAllocation(m=((4,), (4, 4))), 1)
         assert rates[(0, 0)] < 4 and rates[(1, 0)] < 4 and rates[(1, 1)] == 4
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
@@ -740,7 +740,7 @@ class TestDetVerify:
         import hetmac.cli as cli_mod
 
         det = cli_mod.detmac
-        monkeypatch.setattr(det, "_depth_rows", _shared_depth(det._depth_rows))
+        monkeypatch.setattr(det, "_component_rows", _shared_depth(det._component_rows))
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_VIOLATION
         blocks = {}
         for line in capsys.readouterr().out.splitlines():
@@ -818,18 +818,15 @@ class TestDetVerify:
 
 
 def _shared_depth(true_rows):
-    """Mutant of detmac._depth_rows: the last user with bits in a component
-    reuses the first one's top depth."""
+    """Mutant of detmac._component_rows: the last user with bits in a
+    component reuses the first one's top depth."""
 
-    def shared_depth(n, alloc, scheme_type):
-        out = []
-        for comp in true_rows(n, alloc, scheme_type):
-            comp = [list(rows) for rows in comp]
-            busy = [rows for rows in comp if rows]
-            if len(busy) > 1:
-                busy[-1][0] = busy[0][0]
-            out.append(tuple(tuple(rows) for rows in comp))
-        return tuple(out)
+    def shared_depth(n, component, m_col, scheme_type):
+        comp = [list(rows) for rows in true_rows(n, component, m_col, scheme_type)]
+        busy = [rows for rows in comp if rows]
+        if len(busy) > 1:
+            busy[-1][0] = busy[0][0]
+        return tuple(tuple(rows) for rows in comp)
 
     return shared_depth
 
@@ -1198,6 +1195,70 @@ def test_component_cap_gives_one_message_everywhere(tmp_path, capsys):
         errors.append(capsys.readouterr().err)
     assert errors == ["error: superimposed cardinality exceeds cap 1048576\n"] * 3
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, existing",
+    [("region", b"earlier bytes\n"), ("region", None), ("codeparams", None)],
+)
+def test_samples_numpy_cannot_hold_exit_four(tmp_path, capsys, command, existing):
+    # sys.maxsize is within the sample bound, and numpy rejects its arrays before
+    # allocating anything
+    out = tmp_path / "r.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    argv = ["region", "--out", str(out)] if command == "region" else ["codeparams", "--alloc", "E"]
+    assert main([*argv, "--scenario", UPLINK, "--samples", str(sys.maxsize)]) == EXIT_VIOLATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot allocate the arrays of {sys.maxsize} samples ")
+    assert err.count("\n") == 1
+    assert (out.read_bytes() if out.exists() else None) == existing
+
+
+@pytest.mark.parametrize("command", ["region", "codeparams"])
+def test_samples_out_of_memory_exit_four(tmp_path, capsys, monkeypatch, command):
+    import numpy as np
+
+    true_empty = np.empty
+
+    def empty(shape, *args, **kwargs):
+        # only the per-sample arrays of the scenario's 10,000 samples run out of memory
+        if isinstance(shape, tuple) and shape[-1] == 10_000:
+            raise MemoryError("no memory for the samples")
+        return true_empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "empty", empty)
+    out = tmp_path / "r.csv"
+    path = write_scenario(tmp_path, base_payload())
+    argv = ["region", "--out", str(out)] if command == "region" else ["codeparams", "--alloc", "E"]
+    assert main([*argv, "--scenario", path]) == EXIT_VIOLATION
+    assert capsys.readouterr().err == (
+        "error: cannot allocate the arrays of 10000 samples (about 40 bytes each): "
+        "no memory for the samples\n"
+    )
+    assert not out.exists()
+
+
+def test_scheme_precedence(tmp_path, capsys):
+    # region: an allocation's own scheme beats --scheme (and flags.scheme_types);
+    # codeparams and constellation: --scheme beats the allocation's scheme
+    out = tmp_path / "r.csv"
+    argv = ["--scenario", UPLINK, "--samples", "10000"]
+    assert main(["region", *argv, "--out", str(out), "--scheme", "1"]) == EXIT_OK
+    cells = [line.split(",") for line in out.read_text().splitlines()]
+    labels = {c[1]: c[2] for c in cells if c[0] == "scheme"}
+    assert labels == {"A": "1", "B": "1", "C": "1", "D": "2", "E": "1", "F": "1", "G": "1"}
+    capsys.readouterr()
+    assert main(["codeparams", *argv, "--alloc", "D", "--scheme", "1"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("allocation D scheme 1\n")
+    dumps = {}
+    # C is D's table under scheme 1
+    for alloc_id, extra in (("C", []), ("D", []), ("D", ["--scheme", "1"])):
+        dump = tmp_path / "p.csv"
+        cmd = ["constellation", "--scenario", UPLINK, "--alloc", alloc_id, "--component", "1"]
+        assert main([*cmd, "--out", str(dump), *extra]) == EXIT_OK
+        dumps[(alloc_id, *extra)] = dump.read_bytes()
+    assert dumps[("D", "--scheme", "1")] == dumps[("C",)] != dumps[("D",)]
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from hetmac.detmac import (
     ComponentFeasibility,
     F2Matrix,
     _binding_tail,
-    _depth_rows,
+    _component_rows,
     achieved_rates,
     allocation_feasible,
     component_layout,
@@ -90,7 +90,7 @@ class TestGenerators:
     def test_two_user_layout(self):
         # levels (10, 8) with 6+4 bits filling component 1 exactly
         alloc = BitAllocation(m=((6,), (4, 8)))
-        rows_0, rows_1 = _depth_rows((10, 8), alloc, 1)[0]
+        rows_0, rows_1 = _component_rows((10, 8), 0, alloc.columns[0], 1)
         # user 1's block occupies the top six rows
         assert rows_0 == (0, 1, 2, 3, 4, 5)
         # generator rows 4..7 of user 2, shifted down by 10 - 8
@@ -98,25 +98,26 @@ class TestGenerators:
 
     def test_empty_message(self):
         alloc = BitAllocation(m=((0,), (4, 8)))
-        assert _depth_rows((10, 8), alloc, 1)[0][0] == ()
+        assert _component_rows((10, 8), 0, alloc.columns[0], 1)[0] == ()
 
     def test_three_user_disjoint_supports(self):
         alloc = BitAllocation(m=((3,), (3, 0), (3, 0, 0)))
-        occupied = [r for rows in _depth_rows((9, 6, 3), alloc, 1)[0] for r in rows]
+        occupied = [r for rows in _component_rows((9, 6, 3), 0, alloc.columns[0], 1) for r in rows]
         assert len(occupied) == len(set(occupied)) == 9
 
     def test_type2_two_user_split(self):
         n, alloc = (10, 8), BitAllocation(m=((6,), (4, 8)))
         # upper part in the top n1-n2 = 2 rows, lower part below user 2's window
-        assert sorted(_depth_rows(n, alloc, 2)[0][0]) == [0, 1, 6, 7, 8, 9]
+        assert sorted(_component_rows(n, 0, alloc.columns[0], 2)[0]) == [0, 1, 6, 7, 8, 9]
         assert component_layout(n, [6, 4], 0, 2)[0] == [(0, 2), (6, 10)]
 
     def test_type2_single_user_is_top_block(self):
-        assert _depth_rows((6,), BitAllocation(m=((4,),)), 2) == (((0, 1, 2, 3),),)
+        alloc = BitAllocation(m=((4,),))
+        assert _component_rows((6,), 0, alloc.columns[0], 2) == ((0, 1, 2, 3),)
 
     def test_type2_full_last_user_has_no_padding(self):
         alloc = BitAllocation(m=((2,), (0, 4)))
-        assert _depth_rows((6, 4), alloc, 2)[1] == ((0, 1, 2, 3),)
+        assert _component_rows((6, 4), 1, alloc.columns[1], 2) == ((0, 1, 2, 3),)
 
     def test_infeasible_allocation_raises(self):
         alloc = BitAllocation(m=((4,),))

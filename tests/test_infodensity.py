@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +25,7 @@ from hetmac.infodensity import (
     _density_1d,
     _receive_tables,
     _stream,
+    release_stream,
 )
 from hetmac.pipeline import BitAllocation, enumerate_allocations
 from hetmac.signaling import (
@@ -65,6 +65,18 @@ def faint_qpsk_scheme(amplitude: float):
         energies={(0, 0): part.energy},
         zeta={(0, 0): part.energy / cfg.P[0]},
     )
+    return cfg, sig
+
+
+def near_cap_scheme():
+    """Three users whose sub-block (0, 0) is at the 2^20 size cap: 8 own rail
+    levels x 128 interferer rail levels."""
+    cfg = ChannelConfig.from_users([
+        UserSpec(60.0, 128, 1e-6), UserSpec(40.0, 200, 1e-5), UserSpec(24.0, 300, 1e-4),
+    ])
+    sig = build_scheme(cfg, BitAllocation(m=((6,), (8, 4), (6, 2, 6))))
+    own, w, _, _ = _receive_tables(cfg, sig, 0, 0)
+    assert own.size * w.size == 1024
     return cfg, sig
 
 
@@ -240,14 +252,8 @@ class TestKernelBatching:
         assert peak < 40 * 2**20
 
     def test_near_cap_memory_is_one_temporary(self):
-        # sub-block (0, 0): 8 own rail levels x 128 interferer rail levels, the
-        # 2^20 size cap; a 4096-sample rail pass needs 2^22 float64 = 32 MiB
-        cfg = ChannelConfig.from_users([
-            UserSpec(60.0, 128, 1e-6), UserSpec(40.0, 200, 1e-5), UserSpec(24.0, 300, 1e-4),
-        ])
-        sig = build_scheme(cfg, BitAllocation(m=((6,), (8, 4), (6, 2, 6))))
-        own, w, _, _ = _receive_tables(cfg, sig, 0, 0)
-        assert own.size * w.size == 1024
+        # a 2048-sample batch of both rails needs 2^22 float64 = 32 MiB
+        cfg, sig = near_cap_scheme()
         tracemalloc.start()
         try:
             estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=3)
@@ -255,6 +261,27 @@ class TestKernelBatching:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_batches_keep_the_bits_at_the_size_cap(self, monkeypatch):
+        # 10,001 samples end in a partial batch; a smaller _PASS_VALUES cuts them
+        # into batches of 32 samples instead of 2048
+        cfg, sig = near_cap_scheme()
+        true_1d, values = _density_1d, []
+
+        def spy(y, x, own, w):
+            values.append(y.size * own.size * w.size)
+            return true_1d(y, x, own, w)
+
+        monkeypatch.setattr(infodensity, "_density_1d", spy)
+        runs = []
+        for pass_values in (infodensity._PASS_VALUES, 2**16):
+            monkeypatch.setattr(infodensity, "_PASS_VALUES", pass_values)
+            values.clear()
+            stats = estimate_stats(cfg, sig, 0, 0, samples=10_001, seed=3)
+            runs.append([float(v).hex() for v in vars(stats).values()])
+            assert max(values) <= pass_values
+            assert sum(values) == 2 * 10_001 * 1024
+        assert runs[0] == runs[1]
 
 
 @st.composite
@@ -429,8 +456,8 @@ class TestStream:
             runs.append([float(v).hex() for v in vars(stats).values()])
         assert runs[0] == runs[1]
 
-    def test_concurrent_callers_each_read_their_own_stream(self):
-        # three (k, l) streams fought over by more threads than cores, switching often
+    def test_switching_tasks_never_serves_a_stale_stream(self):
+        # three (k, l) streams interleaved, back to back, against each estimate drawn cold
         cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
         sig = build_scheme(cfg, BitAllocation(m=((4,), (4, 4))))
         tasks = [(0, 0), (1, 0), (1, 1)] * 4
@@ -438,14 +465,11 @@ class TestStream:
         def estimate(kl):
             return estimate_stats(cfg, sig, *kl, samples=10_000, seed=4)
 
-        want = [estimate(kl) for kl in tasks]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                got = list(pool.map(estimate, tasks, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
+        want = []
+        for kl in tasks:
+            release_stream()
+            want.append(estimate(kl))
+        got = [estimate(kl) for kl in tasks]
         assert got == want
 
 
