@@ -8,7 +8,7 @@ Subcommands:
   constellation dump a superimposed receive constellation as CSV
 
 Exit codes: 0 success, 2 invalid config, 3 infeasible allocation,
-4 property violation.
+4 property violation, 141 standard output closed by its reader.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VIOLATION = 4
+# what a shell reports for a tool that SIGPIPE killed
+EXIT_BROKEN_PIPE = 141
 
 
 @dataclass(frozen=True)
@@ -198,7 +200,7 @@ def _scenario_allocations(scenario: Scenario, cfg: ChannelConfig):
         return scenario.allocations
     allocs = enumerate_allocations(cfg, even_only=scenario.even_only)
     width = len(str(max(len(allocs) - 1, 0)))
-    return [(f"alloc_{i:0{width}d}", a, None) for i, a in enumerate(allocs)]
+    return [("alloc_" + str(i).zfill(width), a, None) for i, a in enumerate(allocs)]
 
 
 def _fmt(x: float) -> str:
@@ -313,7 +315,8 @@ def cmd_det_verify(scenario: Scenario) -> int:
     # scheme's identity or its first witness
     records: dict[tuple[int, tuple[int, ...]], str] = {}
     pairs = [(k, l) for k in range(cfg.users) for l in range(k + 1)]
-    labels = {(k, l): f"I(user {k + 1}; block {l + 1})=" for k, l in pairs}
+    # the rates line, filled with one rate per (k, l) pair in row order
+    rates_line = "  rates: " + ", ".join([f"I(user {k + 1}; block {l + 1})={{}}" for k, l in pairs])
     n = cfg.n
     for alloc_id, alloc, _ in allocations:
         header = f"allocation {alloc_id}: m={alloc.m}"
@@ -322,10 +325,9 @@ def cmd_det_verify(scenario: Scenario) -> int:
         if None not in known:
             # a component's line, witness draws and identity rates depend on its column
             # alone, so the full check would draw nothing here and find the rates equal
-            # to m, printed in the same (k, l) order as the sorted identity rates
-            bits = zip(pairs, chain.from_iterable(alloc.m))
-            summary = ", ".join([labels[kl] + str(r) for kl, r in bits])
-            sys.stdout.write("\n".join([header, *known, f"  rates: {summary}"]) + "\n")
+            # to m, printed in the (k, l) order of the full check's rates line
+            summary = rates_line.format(*chain.from_iterable(alloc.m))
+            sys.stdout.write("\n".join([header, *known, summary]) + "\n")
             continue
         comps = detmac.verify_region(n, alloc)
         lines = [header] + [_feasibility_line(comp) for comp in comps]
@@ -358,8 +360,7 @@ def cmd_det_verify(scenario: Scenario) -> int:
                     held = False
         if held:
             records.update(zip(keys, lines[1:]))
-        summary = ", ".join([labels[kl] + str(r) for kl, r in sorted(identity_rates.items())])
-        lines.append(f"  rates: {summary}")
+        lines.append(rates_line.format(*[identity_rates[kl] for kl in pairs]))
         # one write per allocation: a long run still streams its output
         sys.stdout.write("\n".join(lines) + "\n")
     if status == EXIT_OK:
@@ -467,13 +468,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenario = _apply_overrides(load_scenario(args.scenario), args)
         if args.command == "region":
-            return cmd_region(scenario, args.out)
-        if args.command == "det-verify":
-            return cmd_det_verify(scenario)
-        if args.command == "codeparams":
-            return cmd_codeparams(scenario, args.alloc, args.scheme)
-        # the subparsers are required, so argparse has rejected any other command
-        return cmd_constellation(scenario, args.alloc, args.component, args.out, args.scheme)
+            code = cmd_region(scenario, args.out)
+        elif args.command == "det-verify":
+            code = cmd_det_verify(scenario)
+        elif args.command == "codeparams":
+            code = cmd_codeparams(scenario, args.alloc, args.scheme)
+        else:
+            # the subparsers are required, so argparse has rejected any other command
+            code = cmd_constellation(scenario, args.alloc, args.component, args.out, args.scheme)
+        # a closed stdout fails here, not in the interpreter's flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone: point its fd at devnull so that
+        # flushing what is still buffered cannot raise again at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ConfigError, UnsupportedOrderError, EnumerationTooLargeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

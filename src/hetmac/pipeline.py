@@ -54,6 +54,14 @@ class BitAllocation:
             self, "columns", tuple([tuple([row[l] for row in m[l:]]) for l in range(len(m))])
         )
 
+    @classmethod
+    def _from_columns(cls, m: tuple[tuple[int, ...], ...], columns: tuple[tuple[int, ...], ...]):
+        """The scheme-1 table m whose column view is columns, taken as given:
+        for enumerate_allocations, whose columns are valid by construction."""
+        alloc = object.__new__(cls)
+        alloc.__dict__.update(m=m, scheme_type=1, columns=columns)
+        return alloc
+
     @property
     def users(self) -> int:
         return len(self.m)
@@ -83,7 +91,10 @@ def enumerate_allocations(cfg: ChannelConfig, even_only: bool = True) -> list[Bi
     Components are independent, so the region is the product of the
     per-component tail-sum polytopes; even_only restricts orders to the
     square-QAM convention.  More than DEFAULT_ENUMERATION_CAP allocations
-    raise EnumerationTooLargeError.
+    raise EnumerationTooLargeError.  Each table is built from its component
+    columns, which have the right lengths and hold nonnegative ints by
+    construction, so none is validated again; BitAllocation validates every
+    other table.
     """
     n = cfg.n
     K = len(n)
@@ -98,14 +109,14 @@ def enumerate_allocations(cfg: ChannelConfig, even_only: bool = True) -> list[Bi
         total *= len(per_component[0])
         if total > cap:
             raise EnumerationTooLargeError(f"more than {cap} allocations (the enumeration cap)")
-    tables = [
-        tuple([tuple([chosen[comp][k - comp] for comp in range(k + 1)]) for k in range(K)])
+    # the tables are distinct, so sorting (table, columns) pairs sorts the
+    # tables; row k of every table has k + 1 entries, so comparing tables row
+    # by row orders them as their flat tuples do
+    tables = sorted(
+        (tuple([tuple([chosen[c][k - c] for c in range(k + 1)]) for k in range(K)]), chosen)
         for chosen in product(*per_component)
-    ]
-    # row k of every table has k + 1 entries, so comparing tables row by row
-    # orders them as their flat tuples do
-    tables.sort()
-    return [BitAllocation(m=m) for m in tables]
+    )
+    return [BitAllocation._from_columns(m, columns) for m, columns in tables]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from hetmac.cli import (
     _FIELDS,
     _REQUIRED,
+    EXIT_BROKEN_PIPE,
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
     EXIT_OK,
@@ -108,6 +109,19 @@ def write_scenario(tmp_path, payload, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(payload))
     return str(path)
+
+
+def enumerated_three_users(seed):
+    """All 1,980 even allocations of 36 / 24 / 12 dB (levels 12 / 8 / 4)."""
+    return {
+        "users": [
+            {"snr_db": 36.0, "blocklength": 128, "target_eps": 1e-6},
+            {"snr_db": 24.0, "blocklength": 200, "target_eps": 1e-5},
+            {"snr_db": 12.0, "blocklength": 320, "target_eps": 1e-4},
+        ],
+        "estimator": {"samples": 10000, "seed": seed},
+        "flags": {"even_only": True},
+    }
 
 
 def base_payload():
@@ -587,24 +601,36 @@ class TestDetVerify:
 
     @pytest.mark.parametrize("seed", [1, 7])
     def test_enumerated_three_user_stdout(self, tmp_path, capsys, seed):
-        # all 1,980 even allocations of 36 / 24 / 12 dB (levels 12 / 8 / 4): every
-        # component line, rate summary and the witness stream behind them; correct
-        # code prints the same bytes at any seed
-        payload = {
-            "users": [
-                {"snr_db": 36.0, "blocklength": 128, "target_eps": 1e-6},
-                {"snr_db": 24.0, "blocklength": 200, "target_eps": 1e-5},
-                {"snr_db": 12.0, "blocklength": 320, "target_eps": 1e-4},
-            ],
-            "estimator": {"samples": 10000, "seed": seed},
-            "flags": {"even_only": True},
-        }
-        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_OK
+        # every component line, rate summary and the witness stream behind them;
+        # correct code prints the same bytes at any seed
+        path = write_scenario(tmp_path, enumerated_three_users(seed))
+        assert main(["det-verify", "--scenario", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("\n") == 9901
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "075191cf963336c9555dd5009a252b8a6d22338b75faad2cb07e5b35aea7d3e6"
         )
+
+    def test_closed_stdout_exits_without_traceback(self, tmp_path):
+        # about 700 KB of stdout, more than a pipe holds: the run writes after the
+        # reader has gone
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        scenario = write_scenario(tmp_path, enumerated_three_users(1))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hetmac.cli", "det-verify", "--scenario", scenario],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"allocation alloc_0000: ")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == EXIT_BROKEN_PIPE
+        assert b"Traceback" not in err
 
     def test_records_never_change_what_an_allocation_prints(self, tmp_path, monkeypatch, capsys):
         # run alone, each allocation takes the full check; in the file's run two of

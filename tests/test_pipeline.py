@@ -29,6 +29,24 @@ def two_user():
     )
 
 
+def with_levels(*levels):
+    """The channel whose users have these bit levels, strongest first."""
+    cfg = ChannelConfig.from_users(
+        [UserSpec(10 * math.log10(2.0**b), 100 + 50 * i, 1e-4) for i, b in enumerate(levels)]
+    )
+    assert cfg.n == levels
+    return cfg
+
+
+# 1 to 4 users at both even_only values: enumerate_allocations builds these
+# tables from their columns, and they must look exactly like validated ones
+ENUMERATED = [
+    pytest.param(levels, even_only, id=f"{len(levels)}u-{'even' if even_only else 'all'}")
+    for levels in [(6,), (6, 4), (5, 3, 2), (4, 3, 2, 1)]
+    for even_only in (True, False)
+]
+
+
 class TestDeriveN:
     def test_reference_levels(self):
         assert two_user().n == (8, 4)
@@ -64,6 +82,21 @@ class TestEnumerate:
         allocs = enumerate_allocations(two_user(), even_only=True)
         flats = [_flat(a.m) for a in allocs]
         assert flats == sorted(flats)
+
+    def test_no_table_is_validated_again(self, monkeypatch):
+        calls = []
+        validate = BitAllocation.__post_init__
+
+        def counting(alloc):
+            calls.append(alloc.m)
+            validate(alloc)
+
+        monkeypatch.setattr(BitAllocation, "__post_init__", counting)
+        allocs = enumerate_allocations(with_levels(12, 8, 4), even_only=True)
+        assert len(allocs) == 1980 and calls == []
+        # the counter does see a table from anywhere else
+        BitAllocation(m=allocs[-1].m)
+        assert calls == [allocs[-1].m]
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(pipeline, "DEFAULT_ENUMERATION_CAP", 10)
@@ -118,6 +151,11 @@ class TestOrder:
         alloc = BitAllocation(m=((np.int64(4),), (2.0, Fraction(4, 1))))
         assert alloc.m == ((4,), (2, 4))
         assert all(type(v) is int for v in _flat(alloc.m))
+
+    @pytest.mark.parametrize("levels, even_only", ENUMERATED)
+    def test_enumerated_allocation_holds_plain_ints(self, levels, even_only):
+        for alloc in enumerate_allocations(with_levels(*levels), even_only):
+            assert all(type(v) is int for v in _flat(alloc.m) + _flat(alloc.columns))
 
 
 class TestCodeParams:
@@ -183,6 +221,14 @@ class TestBitAllocation:
         assert alloc.columns == ((6, 2, 0), (4, 2), (2,))
         assert alloc.columns == tuple(tuple(m[k][l] for k in range(l, 3)) for l in range(3))
 
+    @pytest.mark.parametrize("levels, even_only", ENUMERATED)
+    def test_enumerated_columns_are_the_validated_ones(self, levels, even_only):
+        for alloc in enumerate_allocations(with_levels(*levels), even_only):
+            twin = BitAllocation(m=alloc.m)
+            assert alloc == twin and hash(alloc) == hash(twin) and repr(alloc) == repr(twin)
+            # m, scheme_type and columns, and nothing else
+            assert vars(alloc) == vars(twin)
+
     def test_columns_are_neither_compared_hashed_nor_shown(self):
         alloc, twin = BitAllocation(m=((6,), (2, 4))), BitAllocation(m=((6,), (2, 4)))
         object.__setattr__(twin, "columns", ((0, 0), (0,)))  # a table differing only there
@@ -197,3 +243,13 @@ class TestBitAllocation:
         other = replace(alloc, scheme_type=2)
         assert other.scheme_type == 2 and other.columns == ((6, 2), (4,))
         assert replace(alloc, m=((4,), (4, 4))).columns == ((4, 4), (4,))
+
+    @pytest.mark.parametrize("levels, even_only", ENUMERATED)
+    def test_replace_validates_an_enumerated_table(self, levels, even_only):
+        for alloc in enumerate_allocations(with_levels(*levels), even_only):
+            other = replace(alloc, scheme_type=2)
+            assert vars(other) == {**vars(alloc), "scheme_type": 2}
+            with pytest.raises(ValueError, match="scheme_type"):
+                replace(alloc, scheme_type=3)
+            with pytest.raises(ValueError, match="nonnegative"):
+                replace(alloc, m=((-2,),) + alloc.m[1:])
