@@ -2,6 +2,11 @@
 constraints: layered discrete signaling with treating-interference-as-noise
 decoding, evaluated at finite blocklength."""
 
+import os
+
+# hetmac makes no BLAS call, and OpenBLAS's worker pool, started when numpy loads, only spins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .config import ChannelConfig, UserSpec, bit_levels, db_to_linear
 from .detmac import (
     F2Matrix,
@@ -15,17 +20,14 @@ from .fblrate import (
     BenchmarkRegion,
     RateReport,
     SweepResult,
-    berry_esseen_constant,
     build_rate_report,
     epsilon_bound,
     fbl_rate,
     gaussian_sic_region,
     gaussian_tin_rates,
-    lambda_threshold,
     q_function,
     q_inv,
     rate_region_sweep,
-    refined_epsilon,
 )
 from .infodensity import (
     MI_GAP_BITS,

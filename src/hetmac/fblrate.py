@@ -4,10 +4,9 @@ The normal-approximation rate of user k across its sub-blocks is
 
     R_k = sum_l w_l * I_l  -  sqrt(sum_l (N_l - N_{l-1}) * V_l) / N_k * Qinv(eps_k)
 
-with w_l = (N_l - N_{l-1}) / N_k and the O(1/N_k) residual dropped.
-The refined error-probability bound adds a union-bound term and a
-Berry-Esseen term built from the third absolute central moment of the
-density.
+with w_l = (N_l - N_{l-1}) / N_k and the O(1/N_k) residual dropped
+(Polyanskiy, Poor and Verdu, 2010): a rate reads only the mean and the
+variance of each sub-block's information density.
 """
 
 from __future__ import annotations
@@ -22,9 +21,6 @@ from .errors import InfeasibleAllocationError, UnsupportedOrderError
 from .infodensity import LOG2_E, DensityStats, estimate_stats, release_stream, tin_sinr
 from .pipeline import BitAllocation
 from .signaling import SchemeSignaling, build_scheme, received_rail, schemes_identical
-
-#: Berry-Esseen constant for i.i.d. sums.
-BERRY_ESSEEN_C0 = 0.5600
 
 SQRT2 = math.sqrt(2.0)
 
@@ -49,13 +45,13 @@ def _weighted_sums(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int):
         raise ValueError(f"user {k} needs {len(lengths)} sub-block stats")
     mi_sum = sum(n * s.mi for n, s in zip(lengths, stats))
     var_sum = sum(n * s.dispersion for n, s in zip(lengths, stats))
-    return lengths, mi_sum, var_sum
+    return mi_sum, var_sum
 
 
 def fbl_rate(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float:
     """Achievable rate of user k in bits/symbol (may be negative for tiny N);
     no second-order penalty without dispersion."""
-    _, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
+    mi_sum, var_sum = _weighted_sums(cfg, stats, k)
     nk = cfg.N[k]
     penalty = math.sqrt(var_sum) / nk * q_inv(cfg.eps[k]) if var_sum > 0 else 0.0
     return mi_sum / nk - penalty
@@ -63,52 +59,10 @@ def fbl_rate(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float
 
 def epsilon_bound(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int, log_m: float) -> float:
     """Normal-approximation error bound for a codebook of log_m total bits."""
-    _, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
+    mi_sum, var_sum = _weighted_sums(cfg, stats, k)
     if var_sum <= 0:
         return 1.0 if log_m >= mi_sum else 0.0
     return q_function((mi_sum - log_m) / math.sqrt(var_sum))
-
-
-def berry_esseen_constant(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float:
-    """B_k = C0 * (weighted third moments) / (weighted dispersion)**1.5."""
-    lengths, _, _ = _weighted_sums(cfg, stats, k)
-    nk = cfg.N[k]
-    third = sum(n / nk * s.third_moment for n, s in zip(lengths, stats))
-    var = sum(n / nk * s.dispersion for n, s in zip(lengths, stats))
-    if var <= 0:
-        return 0.0
-    return BERRY_ESSEEN_C0 * third / var**1.5
-
-
-def _refined_terms(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float | None:
-    """Union plus Berry-Esseen term of the refined bound, 2/sqrt(2 pi V) + 5 B_k/sqrt(N_k),
-    V being the dispersion sum; None when V is not positive."""
-    _, _, var_sum = _weighted_sums(cfg, stats, k)
-    if var_sum <= 0:
-        return None
-    bk = berry_esseen_constant(cfg, stats, k)
-    return 2.0 / math.sqrt(2.0 * math.pi * var_sum) + 5.0 * bk / math.sqrt(cfg.N[k])
-
-
-def refined_epsilon(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int, lam: float) -> float:
-    """Three-term refined error bound: union term + Q(lambda) + Berry-Esseen term."""
-    terms = _refined_terms(cfg, stats, k)
-    if terms is None:
-        raise ValueError("refined bound needs a positive dispersion sum")
-    return terms + q_function(lam)
-
-
-def lambda_threshold(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> float | None:
-    """Threshold solving the refined bound for the user's target error.
-
-    Returns None when the target minus the union and Berry-Esseen terms
-    is not positive, i.e. the refined bound is infeasible at this
-    blocklength rather than extrapolated.
-    """
-    terms = _refined_terms(cfg, stats, k)
-    if terms is None or terms >= cfg.eps[k]:
-        return None
-    return q_inv(cfg.eps[k] - terms)
 
 
 @dataclass(frozen=True)
@@ -122,7 +76,7 @@ class RateReport:
 
 
 def build_rate_report(cfg: ChannelConfig, stats: Sequence[DensityStats], k: int) -> RateReport:
-    lengths, mi_sum, var_sum = _weighted_sums(cfg, stats, k)
+    mi_sum, var_sum = _weighted_sums(cfg, stats, k)
     return RateReport(
         rate=max(0.0, fbl_rate(cfg, stats, k)),
         stats=tuple(stats),
@@ -148,7 +102,7 @@ def _gaussian_block_rate(
     cfg: ChannelConfig, k: int, sinrs: Sequence[float]
 ) -> float:
     """Normal approximation across sub-blocks with Gaussian inputs."""
-    stats = [DensityStats(math.log2(1.0 + s), gaussian_dispersion(s), 0.0, 0) for s in sinrs]
+    stats = [DensityStats(math.log2(1.0 + s), gaussian_dispersion(s), 0) for s in sinrs]
     return max(0.0, fbl_rate(cfg, stats, k))
 
 

@@ -7,10 +7,10 @@ The density for user k in sub-block l is
 
 where w runs over the received interferer superposition with
 multiplicity and A_k is the user's sub-block alphabet.  The exponent is
-the squared norm of the unit-variance circular Gaussian kernel.  Means,
-variances and third absolute central moments are estimated by plain
-Monte Carlo with an exhaustive inner sum, evaluated with max-shifted
-(log-sum-exp) stabilization.
+the squared norm of the unit-variance circular Gaussian kernel.  Means
+and variances, the two moments the normal approximation reads, are
+estimated by plain Monte Carlo with an exhaustive inner sum, evaluated
+with max-shifted (log-sum-exp) stabilization.
 
 The inner sums are evaluated one rail at a time, exactly.  Channel gains
 are real magnitudes (ChannelConfig rotates complex gains away), and
@@ -89,7 +89,6 @@ class DensityStats:
 
     mi: float
     dispersion: float
-    third_moment: float
     samples: int
 
     @property
@@ -99,7 +98,7 @@ class DensityStats:
 
     @classmethod
     def zeros(cls) -> "DensityStats":
-        return cls(0.0, 0.0, 0.0, 0)
+        return cls(0.0, 0.0, 0)
 
 
 def _task_seed(seed: int, k: int, l: int) -> int:
@@ -194,12 +193,12 @@ def _density(y: np.ndarray, x: np.ndarray, own: np.ndarray, w: np.ndarray) -> np
 
 
 def _per_sample(shape: tuple[int, ...], dtype=float) -> np.ndarray:
-    """np.empty for shape[-1] samples (an estimate holds 40 bytes a sample: u 8,
-    noise 16, dens 8, sq 8); numpy's failure to allocate is SamplesTooLargeError."""
+    """np.empty for shape[-1] samples (an estimate holds 32 bytes a sample: u 8,
+    noise 16, dens 8); numpy's failure to allocate is SamplesTooLargeError."""
     try:
         return np.empty(shape, dtype)
     except (ValueError, MemoryError) as exc:  # past numpy's size range, or out of memory
-        msg = f"cannot allocate the arrays of {shape[-1]} samples (about 40 bytes each): {exc}"
+        msg = f"cannot allocate the arrays of {shape[-1]} samples (about 32 bytes each): {exc}"
         raise SamplesTooLargeError(msg) from None
 
 
@@ -300,12 +299,8 @@ def estimate_stats(
     mi = float(dens.mean())
     dens -= mi
     # a numpy reduction, not BLAS ddot: its bits and threads would follow the BLAS build
-    sq = np.square(dens, out=_per_sample((samples,)))
-    dispersion = float(sq.sum() / (samples - 1))
-    np.abs(dens, out=dens)
-    sq *= dens  # (a * a) * a with a = |centered|: a * a is the square, bit for bit
-    third = float(sq.mean())
-    return DensityStats(mi=mi, dispersion=dispersion, third_moment=third, samples=samples)
+    dispersion = float(np.square(dens, out=dens).sum() / (samples - 1))
+    return DensityStats(mi=mi, dispersion=dispersion, samples=samples)
 
 
 def tin_sinr(cfg: ChannelConfig, k: int, l: int) -> float:

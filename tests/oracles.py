@@ -32,7 +32,7 @@ from hetmac.errors import InfeasibleAllocationError
 
 
 def density_moments_quadrature(points: np.ndarray, nodes: int = 64):
-    """(mean, variance, third abs central moment) of the information density.
+    """(mean, variance) of the information density.
 
     The channel is y = s + z with z ~ CN(0, 1) and s uniform over the
     received points.  Expectation over z uses a tensor Gauss-Hermite
@@ -55,8 +55,7 @@ def density_moments_quadrature(points: np.ndarray, nodes: int = 64):
     dens = np.stack(density_rows)  # [symbol, node]
     mean = float((dens * wz[None, :]).sum() / m_count)
     var = float((((dens - mean) ** 2) * wz[None, :]).sum() / m_count)
-    third = float(((np.abs(dens - mean) ** 3) * wz[None, :]).sum() / m_count)
-    return mean, var, third
+    return mean, var
 
 
 def mi_quadrature(points: np.ndarray, nodes: int = 64) -> float:

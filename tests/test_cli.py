@@ -1065,6 +1065,27 @@ class TestRegion:
         assert starts == []
         assert outs[0] == outs[1]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_a_process_runs_on_one_os_thread(self, tmp_path):
+        # importing hetmac keeps OpenBLAS from starting its worker pool, whose idle
+        # threads spin-wait on the other cores; hetmac makes no BLAS call
+        probe = textwrap.dedent(f"""
+            import contextlib, io, os
+            from hetmac.cli import main
+            out = {str(tmp_path / "r.csv")!r}
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["det-verify", "--scenario", {UPLINK!r}]) == 0
+                assert main(["region", "--scenario", {UPLINK!r}, "--samples", "10000", "--out", out]) == 0
+            print(len(os.listdir("/proc/self/task")))
+        """)
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        assert run_probe(probe, env).stdout == "1\n"
+
+    def test_a_preset_blas_thread_count_wins(self):
+        probe = "import os, hetmac.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert run_probe(probe, {**os.environ, "OPENBLAS_NUM_THREADS": "2"}).stdout == "2\n"
+
     def test_odd_scheme2_window_keeps_the_scheme1_row_under_both(self, tmp_path, capsys):
         # levels (9, 6): every allocation whose scheme-2 layering differs puts
         # an odd 3-bit window on user 1, so 'both' reports its scheme-1 row
@@ -1122,7 +1143,7 @@ class TestRegion:
         from hetmac.pipeline import BitAllocation
 
         sig = build_scheme(cfg, BitAllocation(m=((4,),)))
-        mi_q, v_q, _ = density_moments_quadrature(
+        mi_q, v_q = density_moments_quadrature(
             Constellation(sig.transmit_axis(0, 0)).points * cfg.h[0], nodes=64
         )
         rate_ref = mi_q - math.sqrt(v_q / 128.0) * q_inv(1e-5)
@@ -1259,7 +1280,7 @@ def test_samples_out_of_memory_exit_four(tmp_path, capsys, monkeypatch, command)
     argv = ["region", "--out", str(out)] if command == "region" else ["codeparams", "--alloc", "E"]
     assert main([*argv, "--scenario", path]) == EXIT_VIOLATION
     assert capsys.readouterr().err == (
-        "error: cannot allocate the arrays of 10000 samples (about 40 bytes each): "
+        "error: cannot allocate the arrays of 10000 samples (about 32 bytes each): "
         "no memory for the samples\n"
     )
     assert not out.exists()
@@ -1498,16 +1519,21 @@ def test_bench_workload_scenarios_load(tmp_path, monkeypatch, seed):
         )
 
 
-def test_cli_import_loads_no_scipy():
-    # the runtime is numpy, PyYAML and the standard library; scipy is a test dependency
+def run_probe(probe: str, env: dict) -> subprocess.CompletedProcess:
+    """Run the Python source probe in a fresh interpreter that imports this checkout's hetmac."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "import sys, hetmac.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
-    done = subprocess.run(
+    path = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
+        env={**env, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
+        timeout=120,
     )
-    assert done.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime is numpy, PyYAML and the standard library; scipy is a test dependency
+    probe = "import sys, hetmac.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    assert run_probe(probe, dict(os.environ)).stdout == "[]\n"

@@ -92,8 +92,8 @@ def test_zero_length_subblock_contributes_nothing_to_rate():
         [UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 128, 1e-5)]
     )
     stats = [
-        DensityStats(2.0, 0.5, 0.1, 0),
-        DensityStats(9.9, 9.9, 9.9, 0),
+        DensityStats(2.0, 0.5, 0),
+        DensityStats(9.9, 9.9, 0),
     ]
     only_first = fbl_rate(cfg, stats, 1)
     assert only_first == pytest.approx(

@@ -12,18 +12,15 @@ from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import InfeasibleAllocationError
 from hetmac.fblrate import (
     BenchmarkRegion,
-    berry_esseen_constant,
     build_rate_report,
     epsilon_bound,
     fbl_rate,
     gaussian_dispersion,
     gaussian_sic_region,
     gaussian_tin_rates,
-    lambda_threshold,
     q_function,
     q_inv,
     rate_region_sweep,
-    refined_epsilon,
 )
 from hetmac.infodensity import (
     DensityStats,
@@ -33,13 +30,12 @@ from hetmac.infodensity import (
     gaussian_tin_mi,
 )
 from hetmac.pipeline import BitAllocation, enumerate_allocations
-from hetmac.signaling import Constellation, build_scheme
 
-from oracles import density_moments_quadrature, q_bisection
+from oracles import q_bisection
 
 
-def stats(mi, var, third=0.0):
-    return DensityStats(mi=mi, dispersion=var, third_moment=third, samples=0)
+def stats(mi, var):
+    return DensityStats(mi=mi, dispersion=var, samples=0)
 
 
 def one_user(n=128, eps=1e-6, snr_db=24.0):
@@ -149,64 +145,10 @@ class TestEpsilonBound:
         assert epsilon_bound(cfg, st, 0, 128 * 3.0 - 1) == 0.0
 
 
-class TestRefinedBound:
-    def test_large_lambda_limit(self):
-        cfg = one_user()
-        st = [stats(3.0, 1.0, third=0.5)]
-        bk = berry_esseen_constant(cfg, st, 0)
-        expected = 2.0 / math.sqrt(2 * math.pi * 128.0) + 5 * bk / math.sqrt(128)
-        assert refined_epsilon(cfg, st, 0, 40.0) == pytest.approx(expected, rel=1e-12)
-
-    def test_exceeds_gaussian_tail(self):
-        cfg = one_user()
-        st = [stats(3.0, 1.0, third=0.5)]
-        for lam in (0.5, 2.0, 4.0):
-            assert refined_epsilon(cfg, st, 0, lam) > q_function(lam)
-
-    def test_decreasing_in_blocklength(self):
-        st = [stats(3.0, 1.0, third=0.5)]
-        vals = [refined_epsilon(one_user(n=n), st, 0, 2.0) for n in (64, 256, 1024)]
-        assert vals[0] > vals[1] > vals[2]
-
-    def test_moment_ratio_against_independent_estimates(self):
-        # well-conditioned moments at 6 dB: tight agreement
-        cfg = ChannelConfig.from_users([UserSpec(6.0, 128, 1e-5)])
-        sig = build_scheme(cfg, BitAllocation(m=((2,),)))
-        st = estimate_stats(cfg, sig, 0, 0, samples=200_000, seed=31)
-        bk = berry_esseen_constant(cfg, [st], 0)
-        mi_q, v_q, t_q = density_moments_quadrature(
-            Constellation(sig.transmit_axis(0, 0)).points * cfg.h[0], nodes=64
-        )
-        assert bk == pytest.approx(0.56 * t_q / v_q**1.5, rel=0.05)
-
-    def test_moment_ratio_at_ten_db(self):
-        # tail-dominated moments: the ratio is validated loosely by design
-        cfg = ChannelConfig.from_users([UserSpec(10.0, 128, 1e-5)])
-        sig = build_scheme(cfg, BitAllocation(m=((2,),)))
-        st = estimate_stats(cfg, sig, 0, 0, samples=200_000, seed=31)
-        bk = berry_esseen_constant(cfg, [st], 0)
-        mi_q, v_q, t_q = density_moments_quadrature(
-            Constellation(sig.transmit_axis(0, 0)).points * cfg.h[0], nodes=64
-        )
-        assert bk == pytest.approx(0.56 * t_q / v_q**1.5, rel=0.35)
-
-    def test_lambda_threshold_infeasible_at_tiny_blocklength(self):
-        cfg = one_user(n=16, eps=1e-6)
-        st = [stats(3.0, 1.0, third=0.5)]
-        assert lambda_threshold(cfg, st, 0) is None
-
-    def test_lambda_threshold_round_trip(self):
-        cfg = one_user(n=100_000, eps=1e-2)
-        st = [stats(3.0, 1.0, third=0.5)]
-        lam = lambda_threshold(cfg, st, 0)
-        assert lam is not None
-        assert refined_epsilon(cfg, st, 0, lam) == pytest.approx(1e-2, rel=1e-9)
-
-
 class TestRateReport:
     def test_report_fields(self):
         cfg = two_user()
-        st = [stats(2.0, 0.5, 0.3), stats(4.0, 0.25, 0.2)]
+        st = [stats(2.0, 0.5), stats(4.0, 0.25)]
         rep = build_rate_report(cfg, st, 1)
         assert rep.rate == pytest.approx(max(0.0, fbl_rate(cfg, st, 1)))
         assert rep.weighted_mi == pytest.approx((128 * 2.0 + 72 * 4.0) / 200)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import hetmac
 from hetmac import infodensity
+from hetmac.cli import load_scenario
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.errors import UnsupportedOrderError
 from hetmac.infodensity import (
@@ -44,6 +45,8 @@ from oracles import (
     receive_alphabets_2d,
     tin_mi_quadrature,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def single_user_cfg(snr_db: float, n: int = 128) -> ChannelConfig:
@@ -355,16 +358,36 @@ class TestEstimateStats:
 
     def test_deterministic_at_a_seed(self):
         cfg, sig = qpsk_scheme(10.0)
-        # 10k samples make 3 chunks, the last one partial; 200k is above OpenBLAS's
-        # threading threshold
+        # 10k samples make 3 chunks, the last one partial; at 200k a BLAS reduction,
+        # were one to come back, would be threaded
         for samples in (10_000, 20_000, 200_000):
             a = estimate_stats(cfg, sig, 0, 0, samples=samples, seed=7)
             b = estimate_stats(cfg, sig, 0, 0, samples=samples, seed=7)
             assert a == b, samples
 
+    def test_bits_are_pinned_on_the_uplink_allocation_e(self):
+        # float.hex of (mi, dispersion) of every sub-block with bits, recorded when the
+        # estimator still kept a third moment: the golden CSVs round to 6 digits, so
+        # they would not show a moved last bit
+        scenario = load_scenario(str(SCENARIOS / "two_user_uplink.yaml"))
+        cfg = scenario.channel()
+        alloc = next(a for alloc_id, a, _ in scenario.allocations if alloc_id == "E")
+        sig = build_scheme(cfg, alloc)
+        got = {}
+        for k in range(cfg.users):
+            for l in range(k + 1):
+                stats = estimate_stats(cfg, sig, k, l, samples=10_000, seed=scenario.seed)
+                got[(k, l)] = (stats.mi.hex(), stats.dispersion.hex())
+        assert got == {
+            (0, 0): ("0x1.f2ca021ce84d0p+1", "0x1.d474db0539a24p-3"),
+            (1, 0): ("0x1.baade4ea2c550p+1", "0x1.29e7cb42d2796p+0"),
+            (1, 1): ("0x1.ca4b5e88cb8f2p+1", "0x1.ea614cf401f36p-1"),
+        }
+
     def test_blas_thread_count_changes_no_bit(self):
-        # OpenBLAS threads a reduction only above a size threshold that 50k
-        # samples stay below, so the estimate runs at 200k samples
+        # the estimator makes no BLAS call, so no thread count can move a bit; the
+        # test guards against one coming back, at 200k samples, where OpenBLAS
+        # would thread a reduction
         script = (
             "from hetmac.config import ChannelConfig, UserSpec\n"
             "from hetmac.infodensity import estimate_stats\n"
@@ -397,7 +420,7 @@ class TestEstimateStats:
         cfg = ChannelConfig.from_users([UserSpec(24.0, 128, 1e-6), UserSpec(12.0, 200, 1e-5)])
         sig = build_scheme(cfg, BitAllocation(m=((0,), (4, 4))))
         stats = estimate_stats(cfg, sig, 0, 0, samples=10_000, seed=1)
-        assert stats == DensityStats(0.0, 0.0, 0.0, 0)
+        assert stats == DensityStats(0.0, 0.0, 0)
         assert stats.samples == 0
 
     def test_sample_floor(self):
