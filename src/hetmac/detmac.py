@@ -5,15 +5,15 @@ pipe"); the channel drops the levels below the noise floor by a down
 shift.  Achievable TIN rates reduce to rank identities, so everything
 here is small dense GF(2) linear algebra with bit-packed rows.
 
-Every entry point takes the bit levels n and a pipeline.BitAllocation
-and passes through _binding_tail, the one home of the tail-sum rule and
-of its input checks; component_layout places a column's bits, and
-_component_rows reads the word row (depth - 1) of every bit off it,
-once per distinct component column and scheme.  achieved_rates packs
-each user's full-rank block into those rows at its column offset, the
-shifted generator matrix without building it, and _component_ranks
-turns the words into rates, for the identity witness and random
-witnesses alike; the ranks still prove that the windows are disjoint.
+_binding_tail is the one home of the tail-sum rule and of its checks:
+every entry point passes a table's columns through it, and it decides
+every column feasible_columns lists for enumeration.  component_layout
+places a column's bits, and _component_rows reads the word row
+(depth - 1) of every bit off it, once per distinct component column and
+scheme.  achieved_rates packs each user's full-rank block into those
+rows at its column offset, the shifted generator matrix without building
+it, and _component_ranks turns the words into rates, for the identity
+witness and random witnesses alike; the ranks prove the windows disjoint.
 """
 
 from __future__ import annotations
@@ -21,10 +21,13 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import count
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InfeasibleAllocationError
-from .pipeline import BitAllocation
+
+if TYPE_CHECKING:  # annotations only, so pipeline may import this module
+    from .pipeline import BitAllocation
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,22 @@ def _binding_tail(n: Sequence[int], m_col: Sequence[int], l: int) -> tuple[int, 
         if best is None or n[k] - load <= best[2] - best[1]:
             best = (k, load, n[k])
     return best
+
+
+def feasible_columns(n: Sequence[int], l: int, step: int) -> Iterator[tuple[int, ...]]:
+    """Every column of component l in orders of step that _binding_tail
+    accepts, each once, lazily.  Each extends a column of component l + 1,
+    whose tails already fit, by user l's order: only the tail at l can fail,
+    and once a value fails it, every larger one does too."""
+    if l == len(n):
+        yield ()
+        return
+    for col in feasible_columns(n, l + 1, step):
+        for value in count(0, step):
+            _, load, capacity = _binding_tail(n, (value,) + col, l)
+            if load > capacity:
+                break
+            yield (value,) + col
 
 
 def verify_region(n: tuple[int, ...], alloc: BitAllocation) -> tuple[ComponentFeasibility, ...]:

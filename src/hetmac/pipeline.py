@@ -1,5 +1,6 @@
 """End-to-end parameter selection: allocation enumeration and
-channel-code parameter derivation."""
+channel-code parameter derivation.  BitAllocation owns both views of a
+table, rows and columns; detmac._binding_tail decides every enumerated column."""
 
 from __future__ import annotations
 
@@ -7,8 +8,10 @@ import math
 from dataclasses import dataclass, field
 from itertools import islice, product
 from numbers import Integral, Real
-from typing import Iterator, Sequence
+from operator import attrgetter
+from typing import Sequence
 
+from . import detmac
 from .config import ChannelConfig
 from .errors import EnumerationTooLargeError
 
@@ -55,9 +58,10 @@ class BitAllocation:
         )
 
     @classmethod
-    def _from_columns(cls, m: tuple[tuple[int, ...], ...], columns: tuple[tuple[int, ...], ...]):
-        """The scheme-1 table m whose column view is columns, taken as given:
+    def _from_columns(cls, columns: tuple[tuple[int, ...], ...]):
+        """The scheme-1 table whose column view is columns, taken as given:
         for enumerate_allocations, whose columns are valid by construction."""
+        m = tuple([tuple([columns[l][k - l] for l in range(k + 1)]) for k in range(len(columns))])
         alloc = object.__new__(cls)
         alloc.__dict__.update(m=m, scheme_type=1, columns=columns)
         return alloc
@@ -67,56 +71,31 @@ class BitAllocation:
         return len(self.m)
 
 
-def _component_tuples(
-    n: Sequence[int], component: int, step: int
-) -> Iterator[tuple[int, ...]]:
-    """All (m_l, ..., m_{K-1}) meeting every tail-sum constraint of one component."""
-
-    # build from the weakest user upward so each prefix already satisfies
-    # its own tail constraint sum_{i>=k} m_i <= n_k
-    def build(pos: int, acc: tuple[int, ...], tail: int) -> Iterator[tuple[int, ...]]:
-        if pos < component:
-            yield acc
-            return
-        cap = n[pos] - tail
-        for value in range(0, cap + 1, step):
-            yield from build(pos - 1, (value,) + acc, tail + value)
-
-    yield from build(len(n) - 1, (), 0)
-
-
 def enumerate_allocations(cfg: ChannelConfig, even_only: bool = True) -> list[BitAllocation]:
     """Every allocation in the layered rate region, lexicographically ordered.
 
-    Components are independent, so the region is the product of the
-    per-component tail-sum polytopes; even_only restricts orders to the
-    square-QAM convention.  More than DEFAULT_ENUMERATION_CAP allocations
-    raise EnumerationTooLargeError.  Each table is built from its component
-    columns, which have the right lengths and hold nonnegative ints by
-    construction, so none is validated again; BitAllocation validates every
-    other table.
+    The region is the product of per-component column lists, and
+    detmac.feasible_columns asks detmac._binding_tail of every column;
+    even_only restricts orders to the square-QAM convention.  More than
+    DEFAULT_ENUMERATION_CAP allocations raise EnumerationTooLargeError.
+    BitAllocation._from_columns builds each table without validating it
+    again: its columns are valid by construction.
     """
     n = cfg.n
-    K = len(n)
     step = 2 if even_only else 1
     cap = DEFAULT_ENUMERATION_CAP
     per_component: list[list[tuple[int, ...]]] = []
     total = 1
     # weakest (smallest) components first, each listed only as far as the
-    # cap needs, so an oversized region stops after a few tuples
-    for l in reversed(range(K)):
-        per_component.insert(0, list(islice(_component_tuples(n, l, step), cap // total + 1)))
+    # cap needs, so an oversized region stops after a few columns
+    for l in reversed(range(len(n))):
+        per_component.insert(0, list(islice(detmac.feasible_columns(n, l, step), cap // total + 1)))
         total *= len(per_component[0])
         if total > cap:
             raise EnumerationTooLargeError(f"more than {cap} allocations (the enumeration cap)")
-    # the tables are distinct, so sorting (table, columns) pairs sorts the
-    # tables; row k of every table has k + 1 entries, so comparing tables row
-    # by row orders them as their flat tuples do
-    tables = sorted(
-        (tuple([tuple([chosen[c][k - c] for c in range(k + 1)]) for k in range(K)]), chosen)
-        for chosen in product(*per_component)
-    )
-    return [BitAllocation._from_columns(m, columns) for m, columns in tables]
+    # row k of every table has k + 1 entries, so comparing tables row by row
+    # orders them as their flat tuples do
+    return sorted(map(BitAllocation._from_columns, product(*per_component)), key=attrgetter("m"))
 
 
 @dataclass(frozen=True)

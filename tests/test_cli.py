@@ -611,6 +611,33 @@ class TestDetVerify:
             "075191cf963336c9555dd5009a252b8a6d22338b75faad2cb07e5b35aea7d3e6"
         )
 
+    def test_enumerated_one_user_stdout(self, tmp_path, capsys):
+        # one user: each column is a single order, and each table a single column
+        payload = {
+            "users": [{"snr_db": 24.0, "blocklength": 128, "target_eps": 1e-6}],
+            "estimator": {"samples": 10000, "seed": 1},
+            "flags": {"even_only": True},
+        }
+        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "allocation alloc_0: m=((0,),)\n"
+            "  component 1, users 1..: load 0 / capacity 8 (slack 8) ok\n"
+            "  rates: I(user 1; block 1)=0\n"
+            "allocation alloc_1: m=((2,),)\n"
+            "  component 1, users 1..: load 2 / capacity 8 (slack 6) ok\n"
+            "  rates: I(user 1; block 1)=2\n"
+            "allocation alloc_2: m=((4,),)\n"
+            "  component 1, users 1..: load 4 / capacity 8 (slack 4) ok\n"
+            "  rates: I(user 1; block 1)=4\n"
+            "allocation alloc_3: m=((6,),)\n"
+            "  component 1, users 1..: load 6 / capacity 8 (slack 2) ok\n"
+            "  rates: I(user 1; block 1)=6\n"
+            "allocation alloc_4: m=((8,),)\n"
+            "  component 1, users 1..: load 8 / capacity 8 (slack 0) ok\n"
+            "  rates: I(user 1; block 1)=8\n"
+            "all rank identities hold\n"
+        )
+
     def test_closed_stdout_exits_without_traceback(self, tmp_path):
         # about 700 KB of stdout, more than a pipe holds: the run writes after the
         # reader has gone

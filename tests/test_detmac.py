@@ -15,6 +15,7 @@ from hetmac.detmac import (
     achieved_rates,
     allocation_feasible,
     component_layout,
+    feasible_columns,
     random_full_rank,
     rank_f2,
     verify_region,
@@ -292,6 +293,22 @@ class TestRegion:
             except InfeasibleAllocationError:
                 layout_raised = True
         assert layout_raised == (not feasible)
+
+    @given(
+        st.lists(st.integers(0, 8), min_size=1, max_size=4).map(
+            lambda levels: tuple(sorted(levels, reverse=True))
+        ),
+        st.sampled_from([1, 2]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_feasible_columns_are_the_binding_tail_scan(self, n, step):
+        # the pruned generator against every column of the box that _binding_tail accepts
+        for l in range(len(n)):
+            got = list(feasible_columns(n, l, step))
+            box = itertools.product(*[range(0, n[k] + 1, step) for k in range(l, len(n))])
+            scan = [col for col in box if ComponentFeasibility(l, *_binding_tail(n, col, l)).feasible]
+            assert len(set(got)) == len(got)
+            assert sorted(got) == scan
 
 
 class TestInputChecks:

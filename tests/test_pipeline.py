@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hetmac import pipeline
+from hetmac import detmac, pipeline
 from hetmac.config import ChannelConfig, UserSpec
 from hetmac.detmac import allocation_feasible
 from hetmac.errors import EnumerationTooLargeError
@@ -97,6 +97,24 @@ class TestEnumerate:
         # the counter does see a table from anywhere else
         BitAllocation(m=allocs[-1].m)
         assert calls == [allocs[-1].m]
+
+    def test_columns_come_from_the_binding_tail(self, monkeypatch):
+        # enumeration holds no tail-sum rule of its own: under a stricter rule, two
+        # bits less on every tail, it lists exactly the tables that rule admits
+        true_tail = detmac._binding_tail
+
+        def stricter(n, m_col, l):
+            first, load, capacity = true_tail(n, m_col, l)
+            return first, load, capacity - 2
+
+        monkeypatch.setattr(detmac, "_binding_tail", stricter)
+        cfg = with_levels(5, 3, 2)
+        for even_only in (True, False):
+            region = enumerate_tables_brute(cfg.n, even_only)
+            admitted = [m for m in region if detmac.allocation_feasible(cfg.n, BitAllocation(m))]
+            assert 0 < len(admitted) < len(region)
+            got = [a.m for a in enumerate_allocations(cfg, even_only=even_only)]
+            assert got == sorted(admitted, key=_flat)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(pipeline, "DEFAULT_ENUMERATION_CAP", 10)
