@@ -9,7 +9,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import ChannelConfig, UserSpec, bit_levels, db_to_linear
 from .detmac import (
-    F2Matrix,
     achieved_rates,
     allocation_feasible,
     random_full_rank,

@@ -10,10 +10,12 @@ every entry point passes a table's columns through it, and it decides
 every column feasible_columns lists for enumeration.  component_layout
 places a column's bits, and _component_rows reads the word row
 (depth - 1) of every bit off it, once per distinct component column and
-scheme.  achieved_rates packs each user's full-rank block into those
-rows at its column offset, the shifted generator matrix without building
-it, and _component_ranks turns the words into rates, for the identity
-witness and random witnesses alike; the ranks prove the windows disjoint.
+scheme.  achieved_rates packs each user's full-rank block, m row words
+with bit j of word i = entry (i, j), into those rows at its column offset,
+the shifted generator matrix without building it, and _component_ranks
+turns the words into rates by rank_f2, the one rank routine, for the
+identity witness and random witnesses alike; the ranks prove the windows
+disjoint.
 """
 
 from __future__ import annotations
@@ -30,25 +32,7 @@ if TYPE_CHECKING:  # annotations only, so pipeline may import this module
     from .pipeline import BitAllocation
 
 
-@dataclass(frozen=True)
-class F2Matrix:
-    """Dense GF(2) matrix, the type of a full-rank witness block; bits[i]
-    packs row i with bit j = column j."""
-
-    rows: int
-    cols: int
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.bits) != self.rows:
-            raise ValueError("bits must hold one word per row")
-        if self.bits and (min(self.bits) < 0 or max(self.bits) >> self.cols):
-            raise ValueError("row word has bits beyond the column count")
-
-
-def _rank_words(words: Iterable[int]) -> int:
+def rank_f2(words: Iterable[int]) -> int:
     """GF(2) rank of packed row words by an XOR basis.
 
     Each word is reduced by the basis elements in insertion order, taking
@@ -56,10 +40,12 @@ def _rank_words(words: Iterable[int]) -> int:
     Every element was reduced the same way by all earlier ones, so it
     holds none of their leading bits: a reduced word holds no leading bit
     of the basis, the leading bits stay distinct, and a nonzero remainder
-    is independent of the basis.
+    is independent of the basis.  A negative word has no row to stand for.
     """
     basis: list[int] = []
     for w in words:
+        if w < 0:
+            raise ValueError(f"row words must be nonnegative, got {w}")
         for b in basis:
             x = w ^ b
             if x < w:
@@ -69,19 +55,12 @@ def _rank_words(words: Iterable[int]) -> int:
     return len(basis)
 
 
-def rank_f2(m: F2Matrix) -> int:
-    """Rank over GF(2) of the matrix's row words."""
-    return _rank_words(m.bits)
-
-
-def random_full_rank(n: int, rng: random.Random) -> F2Matrix:
-    """Uniform invertible n x n GF(2) matrix via rejection sampling."""
-    if n == 0:
-        return F2Matrix(0, 0, ())
+def random_full_rank(n: int, rng: random.Random) -> tuple[int, ...]:
+    """Uniform invertible n x n GF(2) matrix, as n row words, by rejection sampling."""
     while True:
-        m = F2Matrix(n, n, tuple([rng.getrandbits(n) for _ in range(n)]))
-        if rank_f2(m) == n:
-            return m
+        words = tuple([rng.getrandbits(n) for _ in range(n)])
+        if rank_f2(words) == n:
+            return words
 
 
 @dataclass(frozen=True)
@@ -130,6 +109,8 @@ def feasible_columns(n: Sequence[int], l: int, step: int) -> Iterator[tuple[int,
     accepts, each once, lazily.  Each extends a column of component l + 1,
     whose tails already fit, by user l's order: only the tail at l can fail,
     and once a value fails it, every larger one does too."""
+    if step < 1:  # count(0, 0) would yield the order 0 forever, and it always fits
+        raise ValueError(f"step must be at least 1, got {step}")
     if l == len(n):
         yield ()
         return
@@ -217,14 +198,14 @@ def component_layout(
 
 
 def _component_ranks(
-    nl: int, rows: tuple[tuple[int, ...], ...], blocks: Sequence[F2Matrix | None] = ()
+    nl: int, rows: tuple[tuple[int, ...], ...], blocks: Sequence[Sequence[int] | None] = ()
 ) -> tuple[int, ...]:
     """TIN rates of users l..K-1 in one component, in user order.
 
     rows[i] holds the word rows of the i-th user's bits (_component_rows).
-    Block row j of that user (blocks[i], the identity 1 << j when absent
-    or None) is packed at word row rows[i][j], shifted to the user's
-    column offset.
+    Row word j of that user's block (blocks[i], exactly mk words below
+    2**mk, the identity 1 << j when absent or None) is packed at word row
+    rows[i][j], shifted to the user's column offset.
     """
     words = [0] * nl
     masks = []
@@ -235,20 +216,20 @@ def _component_ranks(
         if f is None:
             for j, r in enumerate(depths, offset):
                 words[r] |= 1 << j
-        elif (f.rows, f.cols) != (mk, mk):
-            raise ValueError(f"F block must be {mk}x{mk}")
+        elif len(f) != mk or not all(0 <= b < 1 << mk for b in f):
+            raise ValueError(f"F block must be {mk}x{mk}: {mk} row words below {1 << mk}")
         else:
-            for r, b in zip(depths, f.bits):
+            for r, b in zip(depths, f):
                 words[r] |= b << offset
         masks.append(((1 << mk) - 1) << offset)
         offset += mk
     # rate of k = rank(all) - rank(all but k's columns): a user's rate equals its
     # bit count only when its rows are independent of everyone else's, so the
     # ranks prove that the windows are disjoint and never copy the allocation
-    rank_all = _rank_words(words)
+    rank_all = rank_f2(words)
     # a user without columns leaves every word as it is: rate 0
     return tuple([
-        rank_all - _rank_words([w & ~mask for w in words]) if mask else 0 for mask in masks
+        rank_all - rank_f2([w & ~mask for w in words]) if mask else 0 for mask in masks
     ])
 
 
@@ -274,14 +255,14 @@ def achieved_rates(
     n: tuple[int, ...],
     alloc: BitAllocation,
     scheme_type: int,
-    f_blocks: Mapping[tuple[int, int], F2Matrix] | None = None,
+    f_blocks: Mapping[tuple[int, int], Sequence[int]] | None = None,
 ) -> dict[tuple[int, int], int]:
     """TIN rate of every (user, component) pair under scheme_type, given
     apart from alloc.scheme_type because det-verify checks both layerings.
 
     Component l's rates are the ranks of its rows (_component_rows) with
-    user k's block f_blocks[(k, l)] packed in, the identity when absent
-    (_component_ranks).
+    user k's block f_blocks[(k, l)], its m[k][l] row words, packed in, the
+    identity when absent (_component_ranks).
     """
     rates = {}
     for l, column in enumerate(alloc.columns):

@@ -638,6 +638,33 @@ class TestDetVerify:
             "all rank identities hold\n"
         )
 
+    @pytest.mark.parametrize(
+        "fault, code, lines, violations, digest",
+        [
+            (False, EXIT_OK, 701, 0, "d5814e11ddab777413ed43760fb9ff8583dc209cf41fd79d435d50452a6c6a52"),
+            # the "all rank identities hold" line gives way to 76 VIOLATION lines
+            (True, EXIT_VIOLATION, 776, 76, "b72bc05d7c1e4aee"),
+        ],
+        ids=["correct", "packing_fault"],
+    )
+    def test_enumerated_odd_order_stdout(
+        self, tmp_path, monkeypatch, capsys, fault, code, lines, violations, digest
+    ):
+        # every order, odd ones included: enumeration steps by 1, and the witnesses
+        # take the block branch at odd sizes m = 1, 3, 5, 7
+        import hetmac.cli as cli_mod
+
+        payload = {**base_payload(), "flags": {"even_only": False}}
+        del payload["allocations"]
+        if fault:
+            monkeypatch.setattr(cli_mod.detmac, "_component_ranks", _packing_fault(cli_mod.detmac))
+        assert main(["det-verify", "--scenario", write_scenario(tmp_path, payload)]) == code
+        out = capsys.readouterr().out
+        assert sum(line.startswith("allocation ") for line in out.splitlines()) == 175
+        assert out.count("\n") == lines
+        assert out.count("VIOLATION") == violations
+        assert hashlib.sha256(out.encode()).hexdigest().startswith(digest)
+
     def test_closed_stdout_exits_without_traceback(self, tmp_path):
         # about 700 KB of stdout, more than a pipe holds: the run writes after the
         # reader has gone
@@ -852,14 +879,7 @@ class TestDetVerify:
         import hetmac.cli as cli_mod
 
         det = cli_mod.detmac
-        # mutant: the block branch packs witness rows one column past their offset; the
-        # mutated line sits only in that branch, so the identity rates stay true
-        source = textwrap.dedent(inspect.getsource(det._component_ranks))
-        assert source.count("b << offset") == 1
-        namespace = dict(vars(det))
-        mutated = source.replace("b << offset", "b << (offset + 1)")
-        exec(compile(mutated, det.__file__, "exec"), namespace)
-        monkeypatch.setattr(det, "_component_ranks", namespace["_component_ranks"])
+        monkeypatch.setattr(det, "_component_ranks", _packing_fault(det))
         assert main(["det-verify", "--scenario", scenario]) == EXIT_VIOLATION
         out = capsys.readouterr().out
         assert "VIOLATION" in out
@@ -868,6 +888,18 @@ class TestDetVerify:
         assert [line for line in out.splitlines() if "VIOLATION" not in line] == [
             line for line in golden_lines if line != "all rank identities hold"
         ]
+
+
+def _packing_fault(det):
+    """Mutant of detmac._component_ranks: the block branch packs witness rows
+    one column past their offset.  The mutated line sits only in that branch,
+    so the identity rates stay true."""
+    source = textwrap.dedent(inspect.getsource(det._component_ranks))
+    assert source.count("b << offset") == 1
+    namespace = dict(vars(det))
+    mutated = source.replace("b << offset", "b << (offset + 1)")
+    exec(compile(mutated, det.__file__, "exec"), namespace)
+    return namespace["_component_ranks"]
 
 
 def _shared_depth(true_rows):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from hetmac.detmac import (
     ComponentFeasibility,
-    F2Matrix,
     _binding_tail,
     _component_rows,
     achieved_rates,
@@ -63,14 +62,20 @@ def _feasible_levels_and_table(draw, users=st.integers(1, 3), top=6):
 
 class TestRank:
     def test_identity(self):
-        assert rank_f2(F2Matrix(3, 3, (1, 2, 4))) == 3
+        assert rank_f2((1, 2, 4)) == 3
 
     def test_zero(self):
-        assert rank_f2(F2Matrix(4, 2, (0, 0, 0, 0))) == 0
+        assert rank_f2((0, 0, 0, 0)) == 0
+        assert rank_f2(()) == 0
 
     def test_dependent_rows(self):
         # rows [1, 1], [1, 1], [0, 1]
-        assert rank_f2(F2Matrix(3, 2, (3, 3, 2))) == 2
+        assert rank_f2((3, 3, 2)) == 2
+
+    def test_negative_word_rejected(self):
+        # a negative int has infinitely many set bits: no row of any width
+        with pytest.raises(ValueError, match="row words must be nonnegative, got -1"):
+            rank_f2((1, -1))
 
     @given(
         st.integers(1, 6),
@@ -82,7 +87,7 @@ class TestRank:
         cells = [(packed >> (i * cols + j)) & 1 for i in range(rows) for j in range(cols)]
         mat = [cells[i * cols : (i + 1) * cols] for i in range(rows)]
         words = tuple(sum(b << j for j, b in enumerate(row)) for row in mat)
-        assert rank_f2(F2Matrix(rows, cols, words)) == rank_by_subsets(mat)
+        assert rank_f2(words) == rank_by_subsets(mat)
 
 
 class TestGenerators:
@@ -130,11 +135,13 @@ class TestGenerators:
     def test_bad_f_block_shape(self):
         alloc = BitAllocation(m=((2,),))
         with pytest.raises(ValueError, match="F block must be 2x2"):
-            achieved_rates((4,), alloc, 2, {(0, 0): F2Matrix(2, 3, (1, 2))})
+            # two row words, one of them three columns wide
+            achieved_rates((4,), alloc, 2, {(0, 0): (1, 6)})
 
 
-def _rows(f: F2Matrix) -> list[list[int]]:
-    return [[(w >> j) & 1 for j in range(f.cols)] for w in f.bits]
+def _rows(f: tuple[int, ...]) -> list[list[int]]:
+    # a square block: as many columns as row words
+    return [[(w >> j) & 1 for j in range(len(f))] for w in f]
 
 
 class TestMutualInfo:
@@ -159,12 +166,10 @@ class TestMutualInfo:
         for scheme_type in (1, 2):
             full_rank = {(k, l): random_full_rank(m[k][l], rng) for k, l in pairs}
             # full rank by the oracle's own rank test, drawn without detmac
-            oracle_full_rank = {
-                (k, l): F2Matrix(m[k][l], m[k][l], full_rank_words(m[k][l], rng)) for k, l in pairs
-            }
+            oracle_full_rank = {(k, l): full_rank_words(m[k][l], rng) for k, l in pairs}
             # any square block, singular ones included, so rates may fall short of m
             arbitrary = {
-                (k, l): F2Matrix(m[k][l], m[k][l], tuple(rng.getrandbits(m[k][l]) for _ in range(m[k][l])))
+                (k, l): tuple(rng.getrandbits(m[k][l]) for _ in range(m[k][l]))
                 for k, l in pairs
             }
             identity = achieved_rates(n, alloc, scheme_type)
@@ -191,7 +196,7 @@ class TestMutualInfo:
         # an explicit identity block takes the block branch of the packing, a missing one
         # the identity branch
         ident = {
-            (k, l): F2Matrix(m[k][l], m[k][l], tuple(1 << j for j in range(m[k][l])))
+            (k, l): tuple(1 << j for j in range(m[k][l]))
             for l in range(users)
             for k in range(l, users)
         }
@@ -215,7 +220,7 @@ class TestMutualInfo:
         # det-verify's witnesses depend on these getrandbits calls and on
         # each accept/reject decision of the rank test
         rng = random.Random(20240917)
-        assert [random_full_rank(n, rng).bits for n in range(9)] == [
+        assert [random_full_rank(n, rng) for n in range(9)] == [
             (),
             (1,),
             (3, 1),
@@ -310,6 +315,14 @@ class TestRegion:
             assert len(set(got)) == len(got)
             assert sorted(got) == scan
 
+    @pytest.mark.parametrize("step", [0, -2])
+    def test_feasible_columns_reject_a_step_below_one(self, step):
+        # step 0 would list the all-zero column forever: at most a few columns are
+        # taken, so a generator that forgot the check fails here instead of hanging
+        columns = feasible_columns((4, 2), 0, step)
+        with pytest.raises(ValueError, match=f"step must be at least 1, got {step}"):
+            list(itertools.islice(columns, 10))
+
 
 class TestInputChecks:
     # every entry point passes through _binding_tail, which checks that the levels
@@ -352,19 +365,16 @@ class TestInputChecks:
             component_layout(n, m_col, 0, scheme_type)
 
     @pytest.mark.parametrize(
-        "rows, cols, bits, message",
-        [
-            (-1, 2, (), "negative dimensions"),
-            (2, -1, (0, 0), "negative dimensions"),
-            (2, 2, (1,), "one word per row"),
-            (2, 2, (1, 4), "bits beyond the column count"),
-            (1, 2, (-1,), "bits beyond the column count"),
-        ],
-        ids=["negative_rows", "negative_cols", "word_count", "wide_word", "negative_word"],
+        "block",
+        [(1,), (1, 2, 0), (1, 4), (-1, 1)],
+        ids=["too_few_words", "too_many_words", "wide_word", "negative_word"],
     )
-    def test_f2_matrix_rejects(self, rows, cols, bits, message):
-        with pytest.raises(ValueError, match=message):
-            F2Matrix(rows, cols, bits)
+    def test_malformed_blocks_rejected(self, block):
+        # user 1's 2x2 block in component 1 must be two row words below 1 << 2
+        alloc = BitAllocation(m=((2,), (0, 0)))
+        for scheme_type in (1, 2):
+            with pytest.raises(ValueError, match="F block must be 2x2: 2 row words below 4"):
+                achieved_rates((4, 2), alloc, scheme_type, {(0, 0): block})
 
     def test_component_layout_rejects_an_unknown_scheme(self):
         with pytest.raises(ValueError, match="scheme_type must be 1 or 2"):
@@ -474,4 +484,4 @@ def test_achieved_rates_cover_all_pairs():
 def test_achieved_rates_rejects_a_block_of_the_wrong_shape():
     alloc = BitAllocation(m=((6,), (2, 8)))
     with pytest.raises(ValueError, match="F block must be 2x2"):
-        achieved_rates((10, 8), alloc, 1, {(1, 0): F2Matrix(3, 3, (1, 2, 4))})
+        achieved_rates((10, 8), alloc, 1, {(1, 0): (1, 2, 4)})
