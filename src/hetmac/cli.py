@@ -309,60 +309,59 @@ def cmd_det_verify(scenario: Scenario) -> int:
     allocations = _scenario_allocations(scenario, cfg)
     status = EXIT_OK
     rng = random.Random(scenario.seed)
-    witnessed = set()
-    # (component l, column) -> its feasibility line, recorded once a table holding the
-    # column passed the full check below: feasible, and no VIOLATION under either
-    # scheme's identity or its first witness
-    records: dict[tuple[int, tuple[int, ...]], str] = {}
+    # (component l, column) -> absent while no feasible table has held the column, None
+    # while every feasible table that held it failed, its feasibility line once one passed:
+    # feasible, and no VIOLATION under either scheme's identity or its first witness
+    ledger: dict[tuple[int, tuple[int, ...]], str | None] = {}
     pairs = [(k, l) for k in range(cfg.users) for l in range(k + 1)]
     # the rates line, filled with one rate per (k, l) pair in row order
     rates_line = "  rates: " + ", ".join([f"I(user {k + 1}; block {l + 1})={{}}" for k, l in pairs])
     n = cfg.n
     for alloc_id, alloc, _ in allocations:
-        header = f"allocation {alloc_id}: m={alloc.m}"
         keys = list(enumerate(alloc.columns))
-        known = [records.get(key) for key in keys]
-        if None not in known:
-            # a component's line, witness draws and identity rates depend on its column
-            # alone, so the full check would draw nothing here and find the rates equal
-            # to m, printed in the (k, l) order of the full check's rates line
-            summary = rates_line.format(*chain.from_iterable(alloc.m))
-            sys.stdout.write("\n".join([header, *known, summary]) + "\n")
-            continue
-        comps = detmac.verify_region(n, alloc)
-        lines = [header] + [_feasibility_line(comp) for comp in comps]
-        if not all(comp.feasible for comp in comps):
-            lines.append("  infeasible allocation, skipping rank identities")
-            sys.stdout.write("\n".join(lines) + "\n")
-            status = max(status, EXIT_INFEASIBLE)
-            continue
-        expected = dict(zip(pairs, chain.from_iterable(alloc.m)))  # pairs run row by row
-        held = True
-        for scheme_type in (1, 2):
-            # every full-rank witness gives the identity's rates (README), so one random
-            # witness runs achieved_rates' block-packing path per distinct (component,
-            # column, scheme), the first time it appears; a table that brings no new
-            # component is checked on the identity alone
-            witness = {}
-            for l, m_col in keys:
-                if (l, m_col, scheme_type) not in witnessed:
-                    witnessed.add((l, m_col, scheme_type))
-                    for k, mk in enumerate(m_col, l):
-                        witness[(k, l)] = detmac.random_full_rank(mk, rng)
-            for f_blocks in (None, witness) if witness else (None,):
-                rates = detmac.achieved_rates(n, alloc, scheme_type, f_blocks)
-                if scheme_type == 1 and f_blocks is None:
-                    identity_rates = rates
-                if rates != expected:
-                    bad = {kl: r for kl, r in rates.items() if r != expected.get(kl)}
-                    lines.append(f"  scheme {scheme_type}: VIOLATION {bad}")
-                    status = max(status, EXIT_VIOLATION)
-                    held = False
-        if held:
-            records.update(zip(keys, lines[1:]))
-        lines.append(rates_line.format(*[identity_rates[kl] for kl in pairs]))
+        lines = [ledger.get(key) for key in keys]
+        # a component's line, witness draws and identity rates depend on its column
+        # alone, so with every column passed the full check would draw nothing and find
+        # the rates equal to m, which runs row by row as pairs do
+        rates = chain.from_iterable(alloc.m)
+        if None in lines:
+            comps = detmac.verify_region(n, alloc)
+            lines = [_feasibility_line(comp) for comp in comps]
+            if all(comp.feasible for comp in comps):
+                expected = dict(zip(pairs, rates))
+                # every full-rank witness gives the identity's rates (README), so one
+                # random witness per scheme runs achieved_rates' block-packing path for
+                # each column new to the ledger; a table that brings none is checked on
+                # the identity alone
+                new = [key for key in keys if key not in ledger]
+                held = True
+                for scheme_type in (1, 2):
+                    witness = {
+                        (k, l): detmac.random_full_rank(mk, rng)
+                        for l, m_col in new for k, mk in enumerate(m_col, l)
+                    }
+                    for f_blocks in (None, witness) if witness else (None,):
+                        got = detmac.achieved_rates(n, alloc, scheme_type, f_blocks)
+                        if scheme_type == 1 and f_blocks is None:
+                            rates = [got[kl] for kl in pairs]
+                        if got != expected:
+                            bad = {kl: r for kl, r in got.items() if r != expected.get(kl)}
+                            lines.append(f"  scheme {scheme_type}: VIOLATION {bad}")
+                            status = max(status, EXIT_VIOLATION)
+                            held = False
+                # a pass gives each column its line; a failure leaves a column's
+                # entry as it was, None for a new one
+                ledger.update(
+                    (key, line if held else ledger.get(key)) for key, line in zip(keys, lines)
+                )
+            else:
+                lines.append("  infeasible allocation, skipping rank identities")
+                status = max(status, EXIT_INFEASIBLE)
+                rates = None
+        if rates is not None:
+            lines.append(rates_line.format(*rates))
         # one write per allocation: a long run still streams its output
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write("\n".join([f"allocation {alloc_id}: m={alloc.m}", *lines]) + "\n")
     if status == EXIT_OK:
         print("all rank identities hold")
     return status

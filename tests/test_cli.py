@@ -688,7 +688,7 @@ class TestDetVerify:
 
     def test_records_never_change_what_an_allocation_prints(self, tmp_path, monkeypatch, capsys):
         # run alone, each allocation takes the full check; in the file's run two of
-        # the 42 are printed from the records of earlier allocations' columns
+        # the 42 are printed from the ledger, whose lines earlier allocations passed
         import hetmac.cli as cli_mod
 
         scenario = DATA / "three_user_detverify.yaml"
@@ -724,8 +724,8 @@ class TestDetVerify:
         ids=["uplink", "three_user"],
     )
     def test_failures_are_rechecked_never_recorded(self, monkeypatch, capsys, scenario, digest):
-        # the digests are of the stdout from before det-verify kept per-column records
-        # (14 and 152 VIOLATION lines): a table that fails leaves no record, so every
+        # the digests are of the stdout from before det-verify kept a per-column ledger
+        # (14 and 152 VIOLATION lines): a table that fails passes no column, so every
         # later table that holds one of its columns is checked and reported again
         import hetmac.cli as cli_mod
 
@@ -746,8 +746,28 @@ class TestDetVerify:
 
         monkeypatch.setattr(cli_mod.detmac, "verify_region", counting)
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
-        # D repeats C's table, whose columns passed with C: D is printed from their records
+        # D repeats C's table, whose columns passed with C: D is printed from the ledger
         assert len(calls) == len(set(calls)) == 6
+
+    def test_few_enumerated_tables_take_the_full_check(self, tmp_path, monkeypatch, capsys):
+        # the skip rate that keeps det-verify fast, which its stdout cannot show: of
+        # the 1,980 tables, 68 bring a column the ledger has not passed, and the
+        # other 1,912 are printed from the ledger
+        import hetmac.cli as cli_mod
+
+        calls = []
+        true_verify = cli_mod.detmac.verify_region
+
+        def counting(n, alloc):
+            calls.append(alloc.m)
+            return true_verify(n, alloc)
+
+        monkeypatch.setattr(cli_mod.detmac, "verify_region", counting)
+        path = write_scenario(tmp_path, enumerated_three_users(1))
+        assert main(["det-verify", "--scenario", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert sum(line.startswith("allocation ") for line in out.splitlines()) == 1980
+        assert len(calls) == len(set(calls)) == 68
 
     def test_rank_violation_maps_to_exit_four(self, tmp_path, monkeypatch, capsys):
         import hetmac.cli as cli_mod
@@ -787,7 +807,7 @@ class TestDetVerify:
         assert main(["det-verify", "--scenario", UPLINK]) == EXIT_OK
         # all 7 allocations are feasible: the identity per scheme, and a random
         # witness per scheme, for the 6 that bring a new component; D repeats C's
-        # table and is printed from the records of C's columns
+        # table and is printed from the ledger lines of C's columns
         assert len(current) == 6 * 2 + 6 * 2
         # C and D share one table, and tables that share a column share its layout
         tables = {(n, m) for n, m, _ in current}
